@@ -8,7 +8,7 @@ runner and returns a :class:`concurrent.futures.Future` resolving to an
 :class:`~repro.api.request.AnalysisResult` — so the scheduler and the
 handle layer are backend-agnostic.
 
-Four implementations:
+In-process backends:
 
 ``inline``
     Runs the measurement synchronously on the submitting thread.  This is
@@ -23,26 +23,31 @@ Four implementations:
     contaminate each other.  Results are bit-identical to ``inline``
     because every noise stream is derived statelessly per
     (seed, site, batch).
-``subprocess``
-    Each measurement runs in a fresh worker process
-    (``python -m repro.api.backends <result-path>``) that receives the
-    serialised :class:`AnalysisRequest` JSON on stdin and writes
-    :class:`AnalysisResult` JSON — the versioned schema exercised as a
-    real wire format.  Workers resolve benchmark/zoo refs themselves
-    (session refs cannot cross a process boundary and error loudly) and
-    run store-less; the parent owns persistence.
+
+Out-of-process backends share **one framed worker transport**: one JSON
+document per line — a request (or a ``{"request": .., "chaos": ..}``
+scripted-fault rider) out, ``{"hb": t}`` heartbeat frames while the
+measurement runs, then one ``{"ok": <result payload>}`` or
+``{"error": <message>}`` envelope back.  :class:`FramedChannel` is the
+client end, :func:`serve_frames` the worker loop, and
+:class:`PooledBackend` the pooled dispatcher (borrow/return, supervision,
+preemption, loss classification) that only asks a subclass how to open
+a channel:
+
 ``procpool``
-    Process isolation without the per-shard spin-up: a pool of
-    *persistent* worker processes (``python -m repro.api.backends
-    --pool-worker``) speaking the same request/result JSON, one framed
-    document per line over stdin/stdout.  Each worker keeps a store-less
-    in-process service alive between shards, so the ~1s interpreter
-    start-up, the zoo weight load *and* the engine's prefix-activation
-    cache are all paid once per worker instead of once per shard.  The
-    worker immediately re-points its ``stdout`` at ``stderr`` so
-    incidental prints (e.g. a zoo training run on a cold cache) can
-    never corrupt the protocol channel.  Crashed workers fail their
-    current shard loudly and are replaced on the next borrow.
+    :class:`ProcPoolBackend` — persistent local worker processes
+    (``python -m repro.api.backends --pool-worker``), a channel over the
+    child's stdin/stdout pipes.  Each worker keeps a store-less service
+    alive between shards, so the ~1s interpreter start-up, the zoo
+    weight load *and* the engine's prefix-activation cache are paid once
+    per worker instead of once per shard.
+``remote-pool``
+    :class:`~repro.api.cluster.RemotePoolBackend` — a channel over a TCP
+    socket to a ``repro worker`` agent (see :mod:`repro.api.cluster`).
+
+Workers resolve benchmark/zoo refs themselves (session refs cannot cross
+a process boundary and error loudly) and run store-less; the parent owns
+persistence.
 
 Progress contract: every ``submit`` accepts an optional ``on_start``
 callback invoked when the measurement *actually begins* (on the worker
@@ -52,11 +57,10 @@ events upstream, rather than "was handed to a pool".
 Fault tolerance (see :mod:`repro.api.resilience`): worker loss raises
 the retryable :class:`~repro.api.resilience.WorkerCrashed` (or
 :class:`~repro.api.resilience.WorkerTimeout` when the supervision
-watchdog killed a worker past its ``ExecutionOptions.shard_timeout``
+watchdog severed a channel past its ``ExecutionOptions.shard_timeout``
 deadline or with stale heartbeats), while deterministic refusals stay
-bare :class:`~repro.api.resilience.BackendError`.  Procpool workers
-heartbeat through every measurement so hung (not just dead) workers are
-detected and replaced; cumulative replacements surface as
+bare :class:`~repro.api.resilience.BackendError`.  Lost channels are
+replaced on the next borrow; cumulative replacements surface as
 ``worker_restarts``.  ``chaos:<inner>`` (built via ``make_backend``
 with a :class:`~repro.api.resilience.FaultPlan`) wraps any backend in
 the deterministic fault-injection harness — see :class:`ChaosBackend`.
@@ -72,6 +76,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import select
 import subprocess
 import sys
 import tempfile
@@ -86,8 +91,9 @@ from .resilience import (BackendError, FaultPlan, WorkerCrashed,
 
 __all__ = ["BACKEND_NAMES", "BackendError", "WorkerCrashed", "WorkerTimeout",
            "WorkerPreempted", "ExecutionBackend", "InlineBackend",
-           "ThreadBackend", "SubprocessBackend", "ProcPoolBackend",
-           "ChaosBackend", "make_backend"]
+           "ThreadBackend", "FramedChannel", "serve_frames",
+           "PooledBackend", "ProcPoolBackend", "ChaosBackend",
+           "make_backend"]
 
 logger = logging.getLogger("repro.api.backends")
 
@@ -95,14 +101,14 @@ logger = logging.getLogger("repro.api.backends")
 #: wrapped as ``chaos:<name>`` together with a ``fault_plan``).
 #: ``remote-pool`` (see :mod:`repro.api.cluster`) additionally needs a
 #: ``workers=`` list of ``HOST:PORT`` agent addresses.
-BACKEND_NAMES: tuple[str, ...] = ("inline", "threads", "subprocess",
-                                  "procpool", "remote-pool")
+BACKEND_NAMES: tuple[str, ...] = ("inline", "threads", "procpool",
+                                  "remote-pool")
 
 #: Default shard concurrency for the parallel backends when the caller
 #: does not pass ``max_parallel`` (bounded: sweeps are memory-hungry).
 DEFAULT_MAX_PARALLEL = max(2, min(4, os.cpu_count() or 1))
 
-#: Seconds between heartbeat frames a procpool worker emits while a
+#: Seconds between heartbeat frames a worker emits while a
 #: measurement is in flight (well under any sane supervision grace).
 HEARTBEAT_INTERVAL = 0.5
 
@@ -120,9 +126,9 @@ class ExecutionBackend:
     parallel: int = 1
     #: Whether this backend can terminate a running out-of-process
     #: measurement on a :class:`~repro.api.events.PreemptToken` set
-    #: (the procpool's supervisor kill path).  In-process backends leave
-    #: this False — their measurements observe the token cooperatively
-    #: through the sweep engine's checkpoints instead.
+    #: (the pooled backends sever the worker's channel).  In-process
+    #: backends leave this False — their measurements observe the token
+    #: cooperatively through the sweep engine's checkpoints instead.
     supports_preempt: bool = False
 
     def submit(self, request: AnalysisRequest, runner: Runner, *,
@@ -217,92 +223,82 @@ def _reject_session_ref(backend_name: str, request: AnalysisRequest) -> None:
             f"inline/threads backends)")
 
 
-class SubprocessBackend(ExecutionBackend):
-    """One worker process per measurement, speaking schema-v1 JSON.
+# -------------------------------------------------------- framed transport
+class FramedChannel:
+    """Client end of one worker connection speaking the framed protocol.
 
-    The dispatch threads only block on ``subprocess.run`` (no GIL
-    contention), so ``parallel`` workers genuinely overlap.  Workers are
-    hermetic: store-less, resolving the model from the shared zoo weight
-    cache (``REPRO_ZOO_DIR`` propagates through the environment).
-    """
-
-    name = "subprocess"
-
-    def __init__(self, max_parallel: int = 0):
-        self.parallel = int(max_parallel) or DEFAULT_MAX_PARALLEL
-        self._dispatch = ThreadBackend(self.parallel)
-
-    def submit(self, request: AnalysisRequest, runner: Runner, *,
-               on_start: Callable[[], None] | None = None) -> Future:
-        _reject_session_ref(self.name, request)
-        return self._dispatch.submit(request, _run_in_worker,
-                                     on_start=on_start)
-
-    def close(self) -> None:
-        self._dispatch.close()
-
-
-class _PoolWorker:
-    """One persistent ``--pool-worker`` process of the procpool backend.
+    ``reader``/``writer`` are text streams carrying one JSON document
+    per line; ``sever`` tears the transport down from any thread (SIGKILL
+    for a pipe worker, socket shutdown for a TCP agent), which wakes a
+    reader blocked mid-``readline``.  ``release`` is the graceful
+    teardown :meth:`close` runs after closing both streams (default:
+    ``sever``), ``tail`` returns extra detail for a loss report (a
+    worker log tail), and ``peer`` names the far end for the pool's
+    bookkeeping (a TCP channel's agent address).
 
     The worker heartbeats while a measurement is in flight (``{"hb": t}``
-    frames interleaved with the result envelope); :meth:`measure` skips
-    them, refreshing :attr:`last_beat` — the supervision watchdog's
-    staleness signal.  :meth:`kill` is the watchdog's teardown: it notes
-    *why* before SIGKILLing, so the read loop (which then observes EOF)
-    can raise :class:`~repro.api.resilience.WorkerTimeout` instead of a
-    plain crash.
+    frames before the result envelope); :meth:`measure` skips them,
+    refreshing :attr:`last_beat` — the supervision watchdog's staleness
+    signal.  :meth:`kill` records *why* before severing, so the read
+    loop (which then observes EOF) raises
+    :class:`~repro.api.resilience.WorkerTimeout` or
+    :class:`~repro.api.resilience.WorkerPreempted` instead of a plain
+    :class:`~repro.api.resilience.WorkerCrashed`.
     """
 
-    def __init__(self):
-        handle, self.stderr_path = tempfile.mkstemp(
-            prefix="repro-poolworker-", suffix=".log")
-        self._stderr = os.fdopen(handle, "w")
-        self.process = subprocess.Popen(
-            [sys.executable, "-m", "repro.api.backends", "--pool-worker"],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            stderr=self._stderr, text=True, env=_worker_env())
+    def __init__(self, reader, writer, sever: Callable[[], None], *,
+                 describe: str, release: Callable[[], None] | None = None,
+                 tail: Callable[[], str] | None = None, peer=None):
+        self.reader = reader
+        self.writer = writer
+        self.describe = describe
+        self.peer = peer
+        self._sever = sever
+        self._release = release or sever
+        self._tail = tail or (lambda: "")
         self.last_beat = time.monotonic()
         self.killed_reason: str | None = None
         self.killed_preempted = False
+        self._closed = False
 
     def alive(self) -> bool:
-        return self.process.poll() is None
+        """Reusable: not closed or killed, and nothing to read — an idle
+        channel whose reader polls readable has hit EOF (peer death) or
+        carries garbage, and either way must not serve another shard."""
+        if self._closed or self.killed_reason is not None:
+            return False
+        try:
+            poller = select.poll()
+            poller.register(self.reader, select.POLLIN)
+            return not poller.poll(0)
+        except (OSError, ValueError):
+            return False
 
     def kill(self, reason: str, *, preempted: bool = False) -> None:
-        """Watchdog/scheduler teardown: record the verdict, then SIGKILL.
+        """Watchdog/scheduler teardown: record the verdict, then sever.
 
         ``preempted`` marks a fair-scheduler kill (a healthy worker shot
-        to free its slot) so the read loop classifies the loss as
-        :class:`~repro.api.resilience.WorkerPreempted` rather than a
-        timeout.
+        to free its slot), classified as ``WorkerPreempted`` rather than
+        a timeout.
         """
         self.killed_reason = reason
         self.killed_preempted = preempted
         try:
-            self.process.kill()
+            self._sever()
         except OSError:
             pass
 
-    def _stderr_tail(self) -> str:
-        self._stderr.flush()
-        try:
-            with open(self.stderr_path) as stream:
-                return stream.read().strip()[-2000:]
-        except OSError:
-            return ""
-
     def _lost(self, detail: str) -> BackendError:
-        """The channel broke: classify watchdog kill vs spontaneous death."""
+        """The channel broke: classify a deliberate kill vs peer death."""
         if self.killed_reason is not None:
             if self.killed_preempted:
                 return WorkerPreempted(self.killed_reason)
             return WorkerTimeout(self.killed_reason)
-        return WorkerCrashed(detail)
+        return WorkerCrashed(detail + self._tail())
 
     def measure(self, request: AnalysisRequest,
                 chaos: dict | None = None) -> AnalysisResult:
-        """One framed request/response round trip (raises on crash).
+        """One framed request/response round trip (raises on loss).
 
         ``chaos`` is an optional scripted-fault rider (a
         :class:`~repro.api.resilience.Fault` payload) executed *inside*
@@ -315,128 +311,205 @@ class _PoolWorker:
             frame = json.dumps({"request": request.to_payload(),
                                 "chaos": chaos}, sort_keys=True)
         try:
-            self.process.stdin.write(frame + "\n")
-            self.process.stdin.flush()
+            self.writer.write(frame + "\n")
+            self.writer.flush()
             while True:
-                line = self.process.stdout.readline()
+                line = self.reader.readline()
                 if not line:
-                    code = self.process.poll()
-                    raise self._lost(
-                        f"procpool worker exited (status {code}) mid-request"
-                        + (f":\n{self._stderr_tail()}" if self._stderr_tail()
-                           else ""))
+                    raise self._lost(f"{self.describe} closed the channel "
+                                     f"mid-request")
                 try:
                     envelope = json.loads(line)
                 except ValueError:
                     raise WorkerCrashed(
-                        f"procpool worker emitted a corrupted frame "
-                        f"({line.strip()[:120]!r}); worker log tail:\n"
-                        f"{self._stderr_tail()}") from None
+                        f"{self.describe} emitted a corrupted frame "
+                        f"({line.strip()[:120]!r})" + self._tail()) from None
                 if "hb" in envelope:
                     self.last_beat = time.monotonic()
                     continue
                 if "error" in envelope:
                     raise BackendError(
-                        f"procpool worker failed: {envelope['error']}")
+                        f"{self.describe} failed: {envelope['error']}")
                 return AnalysisResult.from_payload(envelope["ok"])
         except (OSError, ValueError) as exc:
-            raise self._lost(
-                f"procpool worker pipe failed ({exc}); "
-                f"worker log tail:\n{self._stderr_tail()}") from None
+            raise self._lost(f"{self.describe} channel failed "
+                             f"({exc})") from None
 
     def close(self) -> None:
+        self._closed = True
+        for stream in (self.writer, self.reader):
+            try:
+                stream.close()
+            except OSError:
+                pass  # flush into a severed channel; already lost
+        self._release()
+
+
+def _heartbeat_loop(emit: Callable[[dict], None],
+                    stop: threading.Event) -> None:
+    """Worker-side heartbeat thread body: one ``{"hb": t}`` frame per
+    :data:`HEARTBEAT_INTERVAL` while a measurement is in flight."""
+    while not stop.wait(HEARTBEAT_INTERVAL):
         try:
-            if self.alive():
-                self.process.stdin.close()   # EOF -> worker loop exits
-                self.process.wait(timeout=5)
-        except (OSError, ValueError, subprocess.TimeoutExpired):
-            self.process.kill()
+            emit({"hb": time.time()})
+        except (OSError, ValueError):
+            return                       # peer hung up; we exit soon
+
+
+def serve_frames(reader, writer, service,
+                 on_crash: Callable[[], None]) -> None:
+    """Worker side of the framed protocol; returns when ``reader`` ends.
+
+    One request JSON per line in, one ``{"ok": <result payload>}`` or
+    ``{"error": <message>}`` envelope per line out — plus ``{"hb": t}``
+    heartbeat frames while a measurement runs, so the client's watchdog
+    can tell *hung* from *slow*.  Undecodable and non-object frames
+    answer an error envelope; the channel survives them.  A frame may
+    also be an envelope ``{"request": .., "chaos": ..}`` carrying a
+    scripted fault (the chaos harness's real-injection path): crash
+    before/after the measurement (``on_crash``, then stop serving), emit
+    a corrupted result frame, or hang without heartbeats until the
+    client's watchdog severs the channel.  ``service`` is a store-less
+    :class:`~repro.api.service.ResilienceService` that lives across
+    frames — shards of one model reuse its warm engine cache.
+    """
+    write_lock = threading.Lock()
+
+    def emit(document) -> None:
+        text = (document if isinstance(document, str)
+                else json.dumps(document, sort_keys=True))
+        with write_lock:
+            # lint: allow(lock-blocking-call): serializing this write IS the lock's job — the heartbeat thread shares the channel
+            writer.write(text + "\n")
+            # lint: allow(lock-blocking-call): the flush completes the frame the lock serializes
+            writer.flush()
+
+    for line in reader:
+        if not line.strip():
+            continue
+        try:
+            document = json.loads(line)
+        except ValueError:
+            emit({"error": f"undecodable frame: {line.strip()[:120]!r}"})
+            continue
+        if not isinstance(document, dict):
+            emit({"error": f"non-object frame: {line.strip()[:120]!r}"})
+            continue
+        chaos = document.get("chaos") if "request" in document else None
+        payload = document.get("request", document)
+        kind = chaos["kind"] if chaos is not None else None
+        if kind == "crash-before":
+            on_crash()
+            return
+        if kind == "hang":
+            # No heartbeats, no progress: indistinguishable from a
+            # genuinely wedged worker.  The client's watchdog severs us.
+            time.sleep(3600)
+        stop_beat = threading.Event()
+        beat_thread = threading.Thread(target=_heartbeat_loop,
+                                       args=(emit, stop_beat), daemon=True)
+        beat_thread.start()
+        try:
+            result = service.run(AnalysisRequest.from_payload(payload))
+            envelope = {"ok": result.to_payload()}
+        except Exception as exc:  # noqa: BLE001 — reported to the client
+            envelope = {"error": f"{type(exc).__name__}: {exc}"}
         finally:
-            self._stderr.close()
-            if os.path.exists(self.stderr_path):
-                os.remove(self.stderr_path)
+            # Joined before the envelope is emitted, so no stale
+            # heartbeat frame ever follows a result on the channel.
+            stop_beat.set()
+            beat_thread.join(timeout=5)
+        if kind == "crash-after":
+            on_crash()
+            return
+        if kind == "corrupt":
+            emit("{corrupt frame" + "x" * 16)
+            continue
+        emit(envelope)
 
 
-class ProcPoolBackend(ExecutionBackend):
-    """Warm process pool: persistent workers speaking request/result JSON.
+# --------------------------------------------------------- pooled dispatch
+class PooledBackend(ExecutionBackend):
+    """Shard dispatch over a pool of warm :class:`FramedChannel` s.
 
-    Workers are spawned lazily (first borrow) and reused across shards,
-    amortising the interpreter spin-up, zoo weight load and engine
-    prefix-cache that :class:`SubprocessBackend` pays per shard.  A
-    worker that crashes fails its current shard with the retryable
-    :class:`~repro.api.resilience.WorkerCrashed` and is simply not
-    returned to the idle pool — the next borrow spawns a replacement
-    (counted in :attr:`worker_restarts`, surfaced via
+    The one implementation behind both worker-owning backends; a
+    subclass only says how a channel is opened (:meth:`_open`).  Each
+    shard borrows an idle channel (newest first: warmest) or opens a
+    fresh one toward ``parallel``, measures over it, and returns it to
+    the idle list.  A channel that fails a shard is closed, never
+    reused; losses count in :attr:`worker_restarts` (surfaced via
     ``queue_snapshot()`` and ``/v1/health``).
 
     Supervision: every in-flight measurement is watched by a
     :class:`~repro.api.resilience.WorkerSupervisor` — a wall-clock
     deadline when the request carries ``options.shard_timeout``, and
-    heartbeat staleness (``heartbeat_grace`` seconds without a worker
-    heartbeat frame) always.  A tripped watchdog SIGKILLs the worker,
-    whose read loop then raises
-    :class:`~repro.api.resilience.WorkerTimeout` — retryable, so the
-    shard requeues on a fresh worker.
+    heartbeat staleness (``heartbeat_grace`` seconds without a
+    heartbeat frame) always.  A tripped watchdog severs the channel,
+    whose read loop then raises the retryable
+    :class:`~repro.api.resilience.WorkerTimeout`.
 
-    Elasticity: the pool grows on demand toward ``max_parallel`` (a
-    borrow with no idle worker spawns one) and shrinks when quiet —
-    workers idle longer than ``idle_ttl`` seconds are reaped on the next
-    borrow/return (or an explicit :meth:`reap_idle`), releasing their
-    memory-hungry model weights.  :meth:`pool_snapshot` surfaces the
-    live size/busy/idle counts plus cumulative spawn/reap counters into
-    ``queue_snapshot()`` and ``/v1/health``.
+    Preemption: ``submit`` accepts a
+    :class:`~repro.api.events.PreemptToken` and registers a hook that
+    severs the borrowed channel at once; the read loop then raises
+    :class:`~repro.api.resilience.WorkerPreempted` (a ``WorkerTimeout``
+    subclass the service intercepts *before* the retry layer —
+    preemption is not a fault and burns no retry budget).
 
-    Preemption: ``supports_preempt`` is True — ``submit`` accepts a
-    :class:`~repro.api.events.PreemptToken` and registers a kill hook so
-    a fair-scheduler preempt SIGKILLs the borrowed worker immediately;
-    the read loop then raises
-    :class:`~repro.api.resilience.WorkerPreempted` (a
-    :class:`~repro.api.resilience.WorkerTimeout` subclass the service
-    intercepts *before* the retry layer — preemption is not a fault and
-    burns no retry budget).
+    Idle reaping: with :attr:`idle_ttl` set, channels idle that long are
+    closed on the next borrow (or an explicit :meth:`reap_idle`).
 
     **Lock ordering** (checked by ``repro lint`` and the runtime lock
     witness): ``_lock`` is a leaf guarding the idle list and the
-    spawn/reap/busy counters.  Borrow/return take it in short bursts
-    and **drop it before any blocking call** — spawning a worker,
-    writing a frame, killing a process, or joining the supervisor
+    counters.  Borrow/return take it in short bursts and **drop it
+    before any blocking call** — opening, measuring over, severing or
+    closing a channel, or joining the supervisor
     (:class:`~repro.api.resilience.WorkerSupervisor` has its own leaf
-    lock; the two are never held together).  ``reap_idle`` collects
-    victims under ``_lock`` and closes them after releasing it.  Never
-    call into a worker or another component while holding ``_lock``.
+    lock; the two are never held together).  Dead idle channels and
+    reap victims are collected under ``_lock`` and closed after
+    releasing it.
     """
 
-    name = "procpool"
     supports_preempt = True
     #: Scripted chaos faults ride the wire and execute inside the worker
-    #: (the :class:`ChaosBackend` real-injection path); the TCP
-    #: remote-pool backend advertises the same flag.
+    #: (the :class:`ChaosBackend` real-injection path).
     chaos_rider = True
+    #: Seconds an idle channel may wait before :meth:`reap_idle` closes
+    #: it; ``None`` keeps idle channels forever.
+    idle_ttl: float | None = None
+    #: Who is lost when a channel breaks (log messages).
+    noun = "worker"
+    log = logger
 
-    def __init__(self, max_parallel: int = 0, *,
-                 heartbeat_grace: float | None = 10.0,
-                 poll_interval: float = 0.1,
-                 idle_ttl: float | None = 300.0):
-        if idle_ttl is not None and idle_ttl <= 0:
-            raise ValueError(f"idle_ttl must be positive or None, "
-                             f"got {idle_ttl}")
-        self.parallel = int(max_parallel) or DEFAULT_MAX_PARALLEL
+    def __init__(self, parallel: int, *, heartbeat_grace: float | None,
+                 poll_interval: float):
+        self.parallel = parallel
         self.heartbeat_grace = heartbeat_grace
-        self.idle_ttl = idle_ttl
-        self._dispatch = ThreadBackend(self.parallel)
+        self._dispatch = ThreadBackend(parallel)
         self._supervisor = WorkerSupervisor(poll_interval=poll_interval)
-        #: (worker, idled_at) pairs, oldest first at index 0.
-        self._idle: list[tuple[_PoolWorker, float]] = []
+        #: (channel, idled_at) pairs, oldest first at index 0.
+        self._idle: list[tuple[FramedChannel, float]] = []
         self._lock = threading.Lock()
         self._closed = False
         self._restarts = 0
-        self._spawned = 0
+        self._opened = 0
         self._reaped = 0
         self._busy = 0
 
+    def _open(self) -> FramedChannel:
+        """A fresh channel to a worker (called without ``_lock``)."""
+        raise NotImplementedError
+
+    def _note_lost(self, channel: FramedChannel) -> None:
+        """Bookkeeping for a lost channel; runs under ``_lock``."""
+
+    def _pool_extras(self) -> dict:
+        """Backend-specific :meth:`pool_snapshot` fields; runs under
+        ``_lock``."""
+        return {}
+
     @property
     def worker_restarts(self) -> int:
-        """Cumulative crashed/killed-worker replacements."""
+        """Cumulative lost-channel replacements (crashes + timeouts)."""
         with self._lock:
             return self._restarts
 
@@ -446,88 +519,97 @@ class ProcPoolBackend(ExecutionBackend):
             idle = len(self._idle)
             busy = self._busy
             return {"size": idle + busy, "busy": busy, "idle": idle,
-                    "max": self.parallel, "spawned": self._spawned,
-                    "reaped": self._reaped, "idle_ttl": self.idle_ttl}
+                    "max": self.parallel, **self._pool_extras()}
 
     def submit(self, request: AnalysisRequest, runner: Runner, *,
                on_start: Callable[[], None] | None = None,
                chaos: dict | None = None, preempt=None) -> Future:
         _reject_session_ref(self.name, request)
 
-        def run(req: AnalysisRequest, _chaos=chaos,
-                _preempt=preempt) -> AnalysisResult:
-            return self._run_on_worker(req, chaos=_chaos, preempt=_preempt)
+        def run(req: AnalysisRequest) -> AnalysisResult:
+            return self._run(req, chaos=chaos, preempt=preempt)
 
         return self._dispatch.submit(request, run, on_start=on_start)
 
     def reap_idle(self, now: float | None = None) -> int:
-        """Close idle workers past :attr:`idle_ttl`; returns the count."""
+        """Close idle channels past :attr:`idle_ttl`; returns the count."""
         if self.idle_ttl is None:
             return 0
         now = time.monotonic() if now is None else now
-        expired: list[_PoolWorker] = []
+        expired: list[FramedChannel] = []
         with self._lock:
             while self._idle and now - self._idle[0][1] >= self.idle_ttl:
                 expired.append(self._idle.pop(0)[0])
             self._reaped += len(expired)
-        for worker in expired:
-            worker.close()
+        for channel in expired:
+            channel.close()
         if expired:
-            logger.info("procpool reaped %d idle worker(s) past the %.0fs "
-                        "TTL", len(expired), self.idle_ttl)
+            self.log.info("%s reaped %d idle %s(s) past the %.0fs TTL",
+                          self.name, len(expired), self.noun, self.idle_ttl)
         return len(expired)
 
-    def _borrow(self) -> _PoolWorker:
+    def _borrow(self) -> FramedChannel:
         self.reap_idle()
+        stale: list[FramedChannel] = []
+        channel: FramedChannel | None = None
         with self._lock:
             if self._closed:
-                raise BackendError("procpool backend is closed")
+                raise BackendError(f"{self.name} backend is closed")
             self._busy += 1
             while self._idle:
-                worker, _ = self._idle.pop()      # newest first: warmest
-                if worker.alive():
-                    return worker
-                worker.close()
-            self._spawned += 1
+                candidate, _ = self._idle.pop()   # newest first: warmest
+                if candidate.alive():
+                    channel = candidate
+                    break
+                stale.append(candidate)
+        for dead in stale:
+            dead.close()
+        if channel is not None:
+            return channel
         try:
-            return _PoolWorker()
+            channel = self._open()
         except BaseException:
             with self._lock:
                 self._busy -= 1
             raise
+        with self._lock:
+            self._opened += 1
+        return channel
 
-    def _run_on_worker(self, request: AnalysisRequest,
-                       chaos: dict | None = None,
-                       preempt=None) -> AnalysisResult:
+    def _run(self, request: AnalysisRequest, chaos: dict | None = None,
+             preempt=None) -> AnalysisResult:
         if preempt is not None and preempt.is_set():
             raise WorkerPreempted(preempt.reason or
                                   "shard preempted before dispatch")
-        worker = self._borrow()
-        describe = f"shard {request.fingerprint()[:12]}"
+        channel = self._borrow()
+        describe = (f"shard {request.fingerprint()[:12]} "
+                    f"on {channel.describe}")
         timeout = request.options.shard_timeout
         deadline = None if timeout is None else time.monotonic() + timeout
         token = self._supervisor.watch(
-            kill=worker.kill, describe=describe, deadline=deadline,
-            beat=lambda: worker.last_beat, grace=self.heartbeat_grace)
+            kill=channel.kill, describe=describe, deadline=deadline,
+            beat=lambda: channel.last_beat, grace=self.heartbeat_grace)
         hook = None
         if preempt is not None:
-            def hook(reason, _worker=worker):
-                _worker.kill(reason or "shard preempted", preempted=True)
+            def hook(reason):
+                channel.kill(reason or "shard preempted", preempted=True)
             preempt.add_hook(hook)
         try:
-            result = worker.measure(request, chaos=chaos)
+            result = channel.measure(request, chaos=chaos)
         except BaseException as error:
-            worker.close()               # never reuse a suspect worker
+            channel.close()              # never reuse a suspect channel
+            lost = (isinstance(error, WorkerCrashed)
+                    and not isinstance(error, WorkerPreempted))
             with self._lock:
                 self._busy -= 1
-            if isinstance(error, WorkerCrashed) \
-                    and not isinstance(error, WorkerPreempted):
-                with self._lock:
+                if lost:
                     self._restarts += 1
                     restarts = self._restarts
-                logger.warning(
-                    "procpool worker lost on %s (%s: %s); replacement "
-                    "spawns on next borrow (worker_restarts=%d)",
+                    self._note_lost(channel)
+            if lost:
+                self.log.warning(
+                    "%s lost on %s (%s: %s); the next borrow opens a "
+                    "fresh channel (worker_restarts=%d)", self.noun,
                     describe, type(error).__name__, error, restarts)
             raise
         finally:
@@ -537,10 +619,9 @@ class ProcPoolBackend(ExecutionBackend):
         with self._lock:
             self._busy -= 1
             if not self._closed:
-                self._idle.append((worker, time.monotonic()))
-                worker = None
-        if worker is not None:
-            worker.close()
+                self._idle.append((channel, time.monotonic()))
+                return result
+        channel.close()
         return result
 
     def close(self) -> None:
@@ -549,8 +630,78 @@ class ProcPoolBackend(ExecutionBackend):
         with self._lock:
             self._closed = True
             idle, self._idle = self._idle, []
-        for worker, _ in idle:
-            worker.close()
+        for channel, _ in idle:
+            channel.close()
+
+
+class ProcPoolBackend(PooledBackend):
+    """Warm process pool: persistent ``--pool-worker`` children, each a
+    :class:`FramedChannel` over its stdin/stdout pipes.
+
+    Each worker keeps a store-less service alive between shards, so the
+    interpreter start-up, the zoo weight load and the engine's
+    prefix-activation cache are paid once per worker, not per shard.
+    The pool grows on demand toward ``max_parallel`` and shrinks when
+    quiet: workers idle longer than ``idle_ttl`` seconds are reaped,
+    releasing their memory-hungry model weights.  A worker's stderr
+    goes to a temp log whose tail rides every loss report.
+    :meth:`pool_snapshot` adds cumulative ``spawned``/``reaped`` counts.
+    """
+
+    name = "procpool"
+    noun = "procpool worker"
+
+    def __init__(self, max_parallel: int = 0, *,
+                 heartbeat_grace: float | None = 10.0,
+                 poll_interval: float = 0.1,
+                 idle_ttl: float | None = 300.0):
+        if idle_ttl is not None and idle_ttl <= 0:
+            raise ValueError(f"idle_ttl must be positive or None, "
+                             f"got {idle_ttl}")
+        super().__init__(int(max_parallel) or DEFAULT_MAX_PARALLEL,
+                         heartbeat_grace=heartbeat_grace,
+                         poll_interval=poll_interval)
+        self.idle_ttl = idle_ttl
+
+    def _pool_extras(self) -> dict:
+        return {"spawned": self._opened, "reaped": self._reaped,
+                "idle_ttl": self.idle_ttl}
+
+    def _open(self) -> FramedChannel:
+        handle, log_path = tempfile.mkstemp(prefix="repro-poolworker-",
+                                            suffix=".log")
+        log = os.fdopen(handle, "w")
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.api.backends", "--pool-worker"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=log,
+            text=True, env=_worker_env())
+
+        def tail() -> str:
+            status = process.poll()
+            try:
+                with open(log_path) as stream:
+                    text = stream.read().strip()[-2000:]
+            except OSError:
+                text = ""
+            return ((f" (exit status {status})" if status is not None
+                     else "")
+                    + (f"; worker log tail:\n{text}" if text else ""))
+
+        def release() -> None:
+            # stdin is closed by now: EOF ends the worker's loop.
+            try:
+                process.wait(timeout=5)
+            except subprocess.TimeoutExpired:
+                process.kill()
+                process.wait()
+            finally:
+                log.close()
+                if os.path.exists(log_path):
+                    os.remove(log_path)
+
+        return FramedChannel(process.stdout, process.stdin, process.kill,
+                             describe=f"{self.noun} {process.pid}",
+                             release=release, tail=tail)
 
 
 def _worker_env() -> dict:
@@ -569,150 +720,27 @@ def _worker_env() -> dict:
     return env
 
 
-def _run_in_worker(request: AnalysisRequest) -> AnalysisResult:
-    """Measure ``request`` in a fresh worker process (wire-format round trip).
+def worker_main(argv: list[str] | None = None) -> int:
+    """``python -m repro.api.backends --pool-worker`` — one procpool worker.
 
-    The result travels through a temp file rather than stdout so that
-    incidental prints inside the worker (e.g. a zoo training run on a
-    cold weight cache) cannot corrupt the payload.
+    Runs :func:`serve_frames` over stdin/stdout until stdin closes.  The
+    real stdout fd is captured for the protocol and ``sys.stdout``/fd 1
+    re-pointed at stderr first, so incidental prints inside measurement
+    code (zoo training on a cold cache, progress chatter) land in the
+    worker log instead of the channel.  A scripted chaos crash exits
+    with status 17.
     """
-    handle, result_path = tempfile.mkstemp(prefix="repro-worker-",
-                                           suffix=".json")
-    os.close(handle)
-    timeout = request.options.shard_timeout
-    try:
-        try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "repro.api.backends", result_path],
-                input=request.to_json(), capture_output=True, text=True,
-                env=_worker_env(), timeout=timeout)
-        except subprocess.TimeoutExpired:
-            raise WorkerTimeout(
-                f"analysis worker exceeded the {timeout}s shard deadline "
-                f"and was killed") from None
-        if proc.returncode != 0:
-            detail = (proc.stderr or proc.stdout or "").strip()
-            # A negative status means the process died on a signal
-            # (OOM-kill, segfault) — infrastructure, hence retryable; a
-            # positive one is the worker reporting a deterministic
-            # measurement error.
-            error_cls = WorkerCrashed if proc.returncode < 0 else BackendError
-            raise error_cls(
-                f"analysis worker exited with status {proc.returncode}"
-                + (f":\n{detail[-2000:]}" if detail else ""))
-        with open(result_path) as stream:
-            return AnalysisResult.from_json(stream.read())
-    finally:
-        if os.path.exists(result_path):
-            os.remove(result_path)
-
-
-def _heartbeat_loop(emit: Callable[[dict], None],
-                    stop: threading.Event) -> None:
-    """Worker-side heartbeat thread body: one ``{"hb": t}`` frame per
-    :data:`HEARTBEAT_INTERVAL` while a measurement is in flight."""
-    while not stop.wait(HEARTBEAT_INTERVAL):
-        try:
-            emit({"hb": time.time()})
-        except (OSError, ValueError):
-            return                       # parent hung up; we exit soon
-
-
-def _pool_worker_main() -> int:
-    """``python -m repro.api.backends --pool-worker`` — persistent loop.
-
-    Serves framed measurements until stdin closes: one request JSON per
-    line in, one ``{"ok": <result payload>}`` or ``{"error": <message>}``
-    envelope per line out — plus ``{"hb": t}`` heartbeat frames while a
-    measurement runs, so the parent's watchdog can tell *hung* from
-    *slow*.  A frame may also be an envelope ``{"request": ..,
-    "chaos": ..}`` carrying a scripted fault to execute in-process (the
-    chaos harness's real-injection path): crash before/after the
-    measurement (``os._exit``), emit a corrupted result frame, or hang
-    without heartbeats until the watchdog kills us.  The real stdout fd
-    is captured for the protocol and ``sys.stdout``/fd 1 are re-pointed
-    at stderr first, so incidental prints inside measurement code (zoo
-    training on a cold cache, progress chatter) land in the log instead
-    of the channel.
-
-    One store-less service lives for the whole loop: shards of the same
-    model reuse its engine cache — the warmth the backend exists for.
-    """
+    argv = sys.argv[1:] if argv is None else argv
+    if argv != ["--pool-worker"]:
+        print("usage: python -m repro.api.backends --pool-worker "
+              "(framed requests on stdin)", file=sys.stderr)
+        return 2
     channel = os.fdopen(os.dup(sys.stdout.fileno()), "w")
     os.dup2(sys.stderr.fileno(), sys.stdout.fileno())
     sys.stdout = sys.stderr
     from .service import ResilienceService
-    service = ResilienceService(use_store=False)
-    write_lock = threading.Lock()
-
-    def emit(document) -> None:
-        text = (document if isinstance(document, str)
-                else json.dumps(document, sort_keys=True))
-        with write_lock:
-            # lint: allow(lock-blocking-call): serializing this write IS the lock's job — the heartbeat thread shares the channel
-            channel.write(text + "\n")
-            # lint: allow(lock-blocking-call): the flush completes the frame the lock serializes
-            channel.flush()
-
-    for line in sys.stdin:
-        if not line.strip():
-            continue
-        document = json.loads(line)
-        chaos = document.get("chaos") if "request" in document else None
-        payload = document.get("request", document)
-        kind = chaos["kind"] if chaos is not None else None
-        if kind == "crash-before":
-            os._exit(17)
-        if kind == "hang":
-            # No heartbeats, no progress: indistinguishable from a
-            # genuinely wedged worker.  The parent watchdog kills us.
-            time.sleep(3600)
-        stop_beat = threading.Event()
-        beat_thread = threading.Thread(target=_heartbeat_loop,
-                                       args=(emit, stop_beat), daemon=True)
-        beat_thread.start()
-        try:
-            result = service.run(AnalysisRequest.from_payload(payload))
-            envelope = {"ok": result.to_payload()}
-        except Exception as exc:  # noqa: BLE001 — reported to the parent
-            envelope = {"error": f"{type(exc).__name__}: {exc}"}
-        finally:
-            # Joined before the envelope is emitted, so no stale
-            # heartbeat frame ever follows a result on the channel.
-            stop_beat.set()
-            beat_thread.join(timeout=5)
-        if kind == "crash-after":
-            os._exit(17)
-        if kind == "corrupt":
-            emit("{corrupt frame" + "x" * 16)
-            continue
-        emit(envelope)
-    return 0
-
-
-def worker_main(argv: list[str] | None = None) -> int:
-    """``python -m repro.api.backends <result-path>`` — the worker body.
-
-    Reads one :class:`AnalysisRequest` JSON document on stdin, measures
-    it with a store-less inline service, writes the
-    :class:`AnalysisResult` JSON to ``<result-path>``.  With
-    ``--pool-worker`` instead, serves the procpool's persistent framed
-    loop (see :func:`_pool_worker_main`).
-    """
-    argv = sys.argv[1:] if argv is None else argv
-    if argv == ["--pool-worker"]:
-        return _pool_worker_main()
-    if len(argv) != 1:
-        print("usage: python -m repro.api.backends <result-path> "
-              "(request JSON on stdin), or --pool-worker for the "
-              "persistent procpool loop", file=sys.stderr)
-        return 2
-    from .service import ResilienceService
-    request = AnalysisRequest.from_json(sys.stdin.read())
-    service = ResilienceService(use_store=False)
-    result = service.run(request)
-    with open(argv[0], "w") as stream:
-        stream.write(result.to_json())
+    serve_frames(sys.stdin, channel, ResilienceService(use_store=False),
+                 lambda: os._exit(17))
     return 0
 
 
@@ -729,15 +757,16 @@ class ChaosBackend(ExecutionBackend):
 
     Injection has two paths:
 
-    * **procpool inner** — the fault rides the wire to the worker and
-      executes there (real ``os._exit`` crashes, a genuinely corrupted
-      protocol frame, a genuinely hung process for the watchdog);
+    * **pooled inners** (procpool, remote-pool) — the fault rides the
+      wire to the worker and executes there (a real crash, a genuinely
+      corrupted protocol frame, a genuinely hung worker for the
+      watchdog);
     * **other inners** — the fault is simulated at the dispatch
       boundary (a :class:`~repro.api.resilience.WorkerCrashed` future;
       ``crash-after`` runs the real measurement first, then loses the
       result), exercising the same retry machinery without process
-      machinery.  ``hang`` faults *require* the procpool inner — there
-      is no process to kill anywhere else, so they are rejected at
+      machinery.  ``hang`` faults *require* a pooled inner — there is
+      no worker to sever anywhere else, so they are rejected at
       construction.
 
     ``injected`` counts faults actually fired (a chaos test asserting
@@ -895,14 +924,12 @@ def make_backend(backend: str | ExecutionBackend | None,
             raise ValueError(
                 "the inline backend executes on the submitting thread; "
                 "max_parallel does not apply (use --backend threads or "
-                "subprocess for parallel execution)")
+                "procpool for parallel execution)")
         inner: ExecutionBackend = InlineBackend()
     elif name == "threads":
         inner = ThreadBackend(max_parallel or 0)
-    elif name == "procpool":
-        inner = ProcPoolBackend(max_parallel or 0)
     else:
-        inner = SubprocessBackend(max_parallel or 0)
+        inner = ProcPoolBackend(max_parallel or 0)
     if chaos:
         return ChaosBackend(inner, fault_plan)
     return inner

@@ -1,27 +1,30 @@
 """Fleet tier: TCP worker agents, a remote shard pool, and a multi-node
 coordinator.
 
-Three layers, each riding a seam the stack already has (ISSUE 10):
+The first two layers put the one framed worker transport of
+:mod:`repro.api.backends` on a socket; the third federates nodes.
 
 **Worker agents** (``repro worker --listen HOST:PORT``).
-    :class:`WorkerAgent` lifts the procpool's framed stdin/stdout worker
-    protocol (:func:`repro.api.backends._pool_worker_main`) onto TCP
-    verbatim: one JSON document per line — request in, ``{"ok": ...}`` /
-    ``{"error": ...}`` envelope out, ``{"hb": t}`` heartbeat frames while
-    a measurement is in flight, and the same scripted-chaos rider
-    (``{"request": ..., "chaos": ...}``) so the fault-injection harness
-    drives remote workers exactly like local ones.  Each connection
-    additionally opens with a ``{"hello": {"schema": ..., "pid": ...}}``
-    greeting so clients fail fast on schema skew or a non-worker peer.
-    One store-less :class:`~repro.api.service.ResilienceService` lives
-    for the agent's whole life, so shards of the same model reuse its
-    warm engine cache across connections.
+    :class:`WorkerAgent` serves :func:`~repro.api.backends.serve_frames`
+    — the same loop a procpool worker runs over its pipes — on every
+    accepted TCP connection: one JSON document per line, request in,
+    ``{"ok": ...}`` / ``{"error": ...}`` envelope out, ``{"hb": t}``
+    heartbeat frames while a measurement is in flight, and the scripted
+    chaos rider (``{"request": ..., "chaos": ...}``), so the
+    fault-injection harness drives remote workers exactly like local
+    ones.  Only the TCP dial adds a step: each connection opens with a
+    ``{"hello": {"schema": ..., "pid": ...}}`` greeting so clients fail
+    fast on schema skew or a non-worker peer.  One store-less
+    :class:`~repro.api.service.ResilienceService` lives for the agent's
+    whole life, so shards of the same model reuse its warm engine cache
+    across connections.
 
 **The remote pool** (``make_backend("remote-pool", workers=[...])``).
-    :class:`RemotePoolBackend` is the procpool backend with the process
-    table swapped for a set of ``HOST:PORT`` agents: channels are pooled
-    and reused, a borrow with no idle channel dials the next agent
-    round-robin, and every in-flight shard is watched by the PR 6
+    :class:`RemotePoolBackend` is the pooled dispatcher
+    (:class:`~repro.api.backends.PooledBackend`) with channels dialed to
+    a set of ``HOST:PORT`` agents: channels are pooled and reused, a
+    borrow with no idle channel dials the next agent round-robin, and
+    every in-flight shard is watched by the
     :class:`~repro.api.resilience.WorkerSupervisor` (wall-clock deadline
     + heartbeat staleness).  A dead or hung peer is never a hang: the
     socket breaks (or the watchdog breaks it), the shard fails with the
@@ -65,14 +68,12 @@ import urllib.parse
 import urllib.request
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable
 
-from .backends import (DEFAULT_MAX_PARALLEL, ExecutionBackend, Runner,
-                       ThreadBackend, _heartbeat_loop, _reject_session_ref)
+from .backends import (DEFAULT_MAX_PARALLEL, FramedChannel, PooledBackend,
+                       serve_frames)
 from .events import TERMINAL_EVENTS, AnalysisEvent
-from .request import SCHEMA_VERSION, AnalysisRequest, AnalysisResult
-from .resilience import (BackendError, WorkerCrashed, WorkerPreempted,
-                         WorkerSupervisor, WorkerTimeout)
+from .request import SCHEMA_VERSION, AnalysisRequest
+from .resilience import BackendError, WorkerCrashed
 from .server import WAIT_SLICE_SECONDS, RemoteError
 
 __all__ = ["WorkerAgent", "RemotePoolBackend", "ClusterCoordinator",
@@ -101,21 +102,30 @@ class _AgentServer(socketserver.ThreadingTCPServer):
     """One thread per worker connection; never joined on close.
 
     ``block_on_close = False`` because a scripted ``hang`` chaos fault
-    leaves its (daemon) handler thread asleep for an hour — exactly the
-    wedged-worker condition the client watchdog exists for — and
-    ``server_close`` must not wait for it.
+    leaves its (daemon) connection thread asleep for an hour — exactly
+    the wedged-worker condition the client watchdog exists for — and
+    ``server_close`` must not wait for it.  Each accepted connection is
+    handed straight to :meth:`WorkerAgent._serve`.
     """
 
     daemon_threads = True
     allow_reuse_address = True
     block_on_close = False
 
+    def __init__(self, address, agent: "WorkerAgent"):
+        self.agent = agent
+        super().__init__(address, socketserver.BaseRequestHandler)
+
+    def finish_request(self, request, client_address) -> None:
+        self.agent._serve(request)
+
 
 class WorkerAgent:
     """A TCP measurement worker (``repro worker --listen HOST:PORT``).
 
-    Serves the framed procpool worker protocol to any number of
-    concurrent connections (see module docstring).  ``port=0`` binds a
+    Serves the framed worker protocol (:func:`~repro.api.backends.
+    serve_frames`) to any number of concurrent connections, each opened
+    by a ``hello`` greeting (see module docstring).  ``port=0`` binds a
     free port — read :attr:`address` after construction.
 
     ``hard_exit`` selects how a scripted chaos crash dies: the real CLI
@@ -131,7 +141,7 @@ class WorkerAgent:
         self._conn_lock = threading.Lock()
         self._conns: set = set()
         self._closed = False
-        self._server = _AgentServer((host, port), _make_agent_handler(self))
+        self._server = _AgentServer((host, port), self)
         self._thread: threading.Thread | None = None
 
     @property
@@ -151,15 +161,32 @@ class WorkerAgent:
         """Serve on the calling thread until interrupted."""
         self._server.serve_forever()
 
-    # ------------------------------------------------------------- lifecycle
-    def _track(self, connection) -> None:
+    def _serve(self, connection) -> None:
+        """One client connection: the greeting, then the frame loop."""
         with self._conn_lock:
             self._conns.add(connection)
+        reader = connection.makefile("r", encoding="utf-8", errors="replace")
+        writer = connection.makefile("w", encoding="utf-8")
+        try:
+            writer.write(json.dumps({"hello": {"schema": SCHEMA_VERSION,
+                                               "pid": os.getpid()}},
+                                    sort_keys=True) + "\n")
+            writer.flush()
+            serve_frames(reader, writer, self.service, self._crash)
+        except (OSError, ValueError):
+            # The peer hung up (or the agent died under us) — the client
+            # classifies the loss; nothing to answer here.
+            pass
+        finally:
+            with self._conn_lock:
+                self._conns.discard(connection)
+            for stream in (writer, reader):
+                try:
+                    stream.close()
+                except OSError:
+                    pass  # flush into a severed socket; already lost
 
-    def _untrack(self, connection) -> None:
-        with self._conn_lock:
-            self._conns.discard(connection)
-
+    # ------------------------------------------------------------- lifecycle
     def die(self) -> None:
         """Simulate process death in-process: sever every live
         connection mid-frame and stop accepting (reconnects are refused).
@@ -167,14 +194,7 @@ class WorkerAgent:
         with self._conn_lock:
             conns = list(self._conns)
         for connection in conns:
-            try:
-                connection.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                connection.close()
-            except OSError:
-                pass
+            _sever(connection)
         self._server.shutdown()
         self._server.server_close()
 
@@ -203,247 +223,76 @@ def _make_worker_service():
     return ResilienceService(use_store=False)
 
 
-def _make_agent_handler(agent: WorkerAgent):
-    class Handler(socketserver.StreamRequestHandler):
-        """One worker connection: the procpool framed loop over TCP.
-
-        Mirrors :func:`repro.api.backends._pool_worker_main` frame for
-        frame (heartbeats, error envelopes, the chaos rider), prefixed
-        by the hello greeting.
-        """
-
-        def handle(self) -> None:  # noqa: D102 — socketserver API
-            agent._track(self.connection)
-            try:
-                self._serve_connection()
-            finally:
-                agent._untrack(self.connection)
-
-        def _serve_connection(self) -> None:
-            write_lock = threading.Lock()
-
-            def emit(document) -> None:
-                text = (document if isinstance(document, str)
-                        else json.dumps(document, sort_keys=True))
-                with write_lock:
-                    # lint: allow(lock-blocking-call): serializing this write IS the lock's job — the heartbeat thread shares the channel
-                    self.wfile.write((text + "\n").encode())
-                    # lint: allow(lock-blocking-call): the flush completes the frame the lock serializes
-                    self.wfile.flush()
-
-            try:
-                emit({"hello": {"schema": SCHEMA_VERSION,
-                                "pid": os.getpid()}})
-                for raw in self.rfile:
-                    line = raw.decode(errors="replace")
-                    if not line.strip():
-                        continue
-                    try:
-                        document = json.loads(line)
-                    except ValueError:
-                        emit({"error": f"undecodable frame: "
-                                       f"{line.strip()[:120]!r}"})
-                        continue
-                    if not isinstance(document, dict):
-                        emit({"error": f"non-object frame: "
-                                       f"{line.strip()[:120]!r}"})
-                        continue
-                    chaos = (document.get("chaos")
-                             if "request" in document else None)
-                    payload = document.get("request", document)
-                    kind = chaos["kind"] if chaos is not None else None
-                    if kind == "crash-before":
-                        agent._crash()
-                        return
-                    if kind == "hang":
-                        # No heartbeats, no progress: indistinguishable
-                        # from a genuinely wedged agent.  The client's
-                        # watchdog severs the channel.
-                        time.sleep(3600)
-                    stop_beat = threading.Event()
-                    beat_thread = threading.Thread(
-                        target=_heartbeat_loop, args=(emit, stop_beat),
-                        daemon=True)
-                    beat_thread.start()
-                    try:
-                        result = agent.service.run(
-                            AnalysisRequest.from_payload(payload))
-                        envelope = {"ok": result.to_payload()}
-                    except Exception as exc:  # noqa: BLE001 — reported to the client
-                        envelope = {"error": f"{type(exc).__name__}: {exc}"}
-                    finally:
-                        # Joined before the envelope is emitted, so no
-                        # stale heartbeat ever follows a result frame.
-                        stop_beat.set()
-                        beat_thread.join(timeout=5)
-                    if kind == "crash-after":
-                        agent._crash()
-                        return
-                    if kind == "corrupt":
-                        emit("{corrupt frame" + "x" * 16)
-                        continue
-                    emit(envelope)
-            except (OSError, ValueError):
-                # The peer hung up (or the agent died under us) — the
-                # client classifies the loss; nothing to answer here.
-                return
-
-    return Handler
-
-
 # ------------------------------------------------------- remote-pool client
-class _TcpChannel:
-    """One pooled TCP connection to a worker agent.
+def _sever(sock) -> None:
+    """Shut a socket down both ways and close it; a reader blocked on
+    it wakes with EOF."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        sock.close()
+    except OSError:
+        pass
 
-    The wire twin of :class:`repro.api.backends._PoolWorker`: same
-    framed :meth:`measure` round trip, same heartbeat bookkeeping for
-    the supervision watchdog, same :meth:`kill` verdict recording —
-    except "kill" here severs the socket (unblocking the reader)
-    instead of SIGKILLing a child process.
+
+def _dial(address: tuple[str, int],
+          connect_timeout: float = 5.0) -> FramedChannel:
+    """Connect to a worker agent and check its ``hello`` greeting.
+
+    ``connect_timeout`` bounds the dial and the greeting; measurements
+    are unbounded on the socket — the supervision watchdog owns
+    liveness from there.
     """
-
-    def __init__(self, address: tuple[str, int],
-                 connect_timeout: float = 5.0):
-        self.address = address
-        self.describe = f"{address[0]}:{address[1]}"
-        self.last_beat = time.monotonic()
-        self.killed_reason: str | None = None
-        self.killed_preempted = False
-        self._closed = False
-        # Held for the channel's whole life; kill()/close() release it.
-        self.sock = socket.create_connection(address,
-                                             timeout=connect_timeout)
+    sock = socket.create_connection(address, timeout=connect_timeout)
+    describe = f"remote worker {address[0]}:{address[1]}"
+    channel = FramedChannel(
+        sock.makefile("r", encoding="utf-8"),
+        sock.makefile("w", encoding="utf-8"),
+        lambda: _sever(sock), describe=describe, peer=address)
+    try:
+        greeting = channel.reader.readline()
+        if not greeting:
+            raise WorkerCrashed(f"{describe} closed the connection during "
+                                f"the greeting")
         try:
-            self._reader = self.sock.makefile("r", encoding="utf-8")
-            self._writer = self.sock.makefile("w", encoding="utf-8")
-            greeting = self._reader.readline()
-            if not greeting:
-                raise WorkerCrashed(
-                    f"remote worker {self.describe} closed the "
-                    f"connection during the greeting")
-            try:
-                hello = json.loads(greeting)["hello"]
-                schema = hello["schema"]
-            except (ValueError, KeyError, TypeError):
-                raise WorkerCrashed(
-                    f"remote worker {self.describe} sent a non-protocol "
-                    f"greeting ({greeting.strip()[:120]!r}); is a "
-                    f"'repro worker' agent listening there?") from None
-            if schema != SCHEMA_VERSION:
-                raise BackendError(
-                    f"remote worker {self.describe} speaks schema "
-                    f"{schema!r}; this client requires {SCHEMA_VERSION!r}")
-            self.pid = hello.get("pid")
-            # The connect timeout covered dial + greeting; measurements
-            # are unbounded on the socket — the supervision watchdog
-            # owns liveness from here.
-            self.sock.settimeout(None)
-        except BaseException:
-            self.close()
-            raise
-
-    def alive(self) -> bool:
-        return not self._closed and self.killed_reason is None
-
-    def kill(self, reason: str, *, preempted: bool = False) -> None:
-        """Watchdog/scheduler teardown: record the verdict, then sever
-        the socket (which unblocks any reader mid-``readline``)."""
-        self.killed_reason = reason
-        self.killed_preempted = preempted
-        try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self.sock.close()
-        except OSError:
-            pass
-
-    def _lost(self, detail: str) -> BackendError:
-        """The channel broke: classify watchdog kill vs peer death."""
-        if self.killed_reason is not None:
-            if self.killed_preempted:
-                return WorkerPreempted(self.killed_reason)
-            return WorkerTimeout(self.killed_reason)
-        return WorkerCrashed(detail)
-
-    def measure(self, request: AnalysisRequest,
-                chaos: dict | None = None) -> AnalysisResult:
-        """One framed request/response round trip (raises on loss)."""
-        self.last_beat = time.monotonic()
-        if chaos is None:
-            frame = request.to_json()
-        else:
-            frame = json.dumps({"request": request.to_payload(),
-                                "chaos": chaos}, sort_keys=True)
-        try:
-            self._writer.write(frame + "\n")
-            self._writer.flush()
-            while True:
-                line = self._reader.readline()
-                if not line:
-                    raise self._lost(
-                        f"remote worker {self.describe} closed the "
-                        f"connection mid-request")
-                try:
-                    envelope = json.loads(line)
-                except ValueError:
-                    raise WorkerCrashed(
-                        f"remote worker {self.describe} emitted a "
-                        f"corrupted frame "
-                        f"({line.strip()[:120]!r})") from None
-                if "hb" in envelope:
-                    self.last_beat = time.monotonic()
-                    continue
-                if "error" in envelope:
-                    raise BackendError(
-                        f"remote worker {self.describe} failed: "
-                        f"{envelope['error']}")
-                return AnalysisResult.from_payload(envelope["ok"])
-        except (OSError, ValueError) as exc:
-            raise self._lost(
-                f"remote worker {self.describe} socket failed "
-                f"({exc})") from None
-
-    def close(self) -> None:
-        self._closed = True
-        for stream in (getattr(self, "_reader", None),
-                       getattr(self, "_writer", None)):
-            try:
-                if stream is not None:
-                    stream.close()
-            except OSError:
-                pass  # flush into a severed socket; already lost
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+            schema = json.loads(greeting)["hello"]["schema"]
+        except (ValueError, KeyError, TypeError):
+            raise WorkerCrashed(
+                f"{describe} sent a non-protocol greeting "
+                f"({greeting.strip()[:120]!r}); is a 'repro worker' agent "
+                f"listening there?") from None
+        if schema != SCHEMA_VERSION:
+            raise BackendError(f"{describe} speaks schema {schema!r}; "
+                               f"this client requires {SCHEMA_VERSION!r}")
+        sock.settimeout(None)
+    except BaseException:
+        channel.close()
+        raise
+    return channel
 
 
-class RemotePoolBackend(ExecutionBackend):
+class RemotePoolBackend(PooledBackend):
     """Dispatch shards to a configured set of TCP worker agents.
 
-    The procpool's semantics over the network (see module docstring):
-    pooled warm channels, lazy round-robin dialing, supervision with
-    deadline + heartbeat staleness, retryable loss classification, and
-    preemption via channel severing.  A peer that refuses or drops a
-    connection is marked dead for ``dead_cooldown`` seconds so retries
-    reconnect *elsewhere* first; a fully-unreachable fleet raises the
-    retryable :class:`~repro.api.resilience.WorkerCrashed` (the retry
-    backoff doubles as the reconnect probe interval).
+    The pooled dispatcher of :class:`~repro.api.backends.PooledBackend`
+    with a socket per channel (see module docstring).  A borrow with no
+    idle channel dials the next agent round-robin; a peer that refuses
+    or drops a connection is marked dead for ``dead_cooldown`` seconds
+    so retries reconnect *elsewhere* first; a fully-unreachable fleet
+    raises the retryable :class:`~repro.api.resilience.WorkerCrashed`
+    (the retry backoff doubles as the reconnect probe interval).
+    :meth:`pool_snapshot` adds the cumulative ``connected`` count and
+    each agent's ``dead`` flag.
 
-    **Lock ordering** (checked by ``repro lint`` and the runtime lock
-    witness): ``_lock`` is a leaf guarding the idle list, the dead map
-    and the counters.  Dialing, measuring, severing and closing channels
-    all happen with the lock dropped — never call into a socket while
-    holding ``_lock``.
+    **Lock ordering**: the base's leaf ``_lock`` also guards the dead
+    map and the round-robin cursor; dialing happens with it dropped.
     """
 
     name = "remote-pool"
-    supports_preempt = True
-    #: Scripted chaos faults ride the wire to the agent (the
-    #: :class:`~repro.api.backends.ChaosBackend` real-injection path).
-    chaos_rider = True
+    noun = "remote worker"
+    log = logger
 
     def __init__(self, workers, max_parallel: int = 0, *,
                  heartbeat_grace: float | None = 10.0,
@@ -457,84 +306,30 @@ class RemotePoolBackend(ExecutionBackend):
                 "the remote-pool backend needs at least one worker "
                 "address (workers=['HOST:PORT', ...]); start agents "
                 "with 'repro worker --listen HOST:PORT'")
-        self.addresses = addresses
         # Two in-flight shards per configured agent by default: one
         # measuring, one queued behind it on the agent's accept loop.
-        self.parallel = (int(max_parallel)
-                         or max(DEFAULT_MAX_PARALLEL, 2 * len(addresses)))
-        self.heartbeat_grace = heartbeat_grace
+        super().__init__(int(max_parallel)
+                         or max(DEFAULT_MAX_PARALLEL, 2 * len(addresses)),
+                         heartbeat_grace=heartbeat_grace,
+                         poll_interval=poll_interval)
+        self.addresses = addresses
         self.connect_timeout = float(connect_timeout)
         self.dead_cooldown = float(dead_cooldown)
-        self._dispatch = ThreadBackend(self.parallel)
-        self._supervisor = WorkerSupervisor(poll_interval=poll_interval)
-        self._idle: list[_TcpChannel] = []
         self._dead: dict[tuple[str, int], float] = {}
         self._next = 0
-        self._lock = threading.Lock()
-        self._closed = False
-        self._restarts = 0
-        self._connected = 0
-        self._busy = 0
 
-    @property
-    def worker_restarts(self) -> int:
-        """Cumulative lost-channel replacements (crashes + timeouts)."""
-        with self._lock:
-            return self._restarts
-
-    def pool_snapshot(self) -> dict:
-        """Live pool shape for health/queue surfaces."""
+    def _pool_extras(self) -> dict:
         now = time.monotonic()
-        with self._lock:
-            idle = len(self._idle)
-            busy = self._busy
-            workers = [
-                {"address": f"{host}:{port}",
-                 "dead": (now - self._dead.get((host, port), -1e9)
-                          < self.dead_cooldown)}
-                for host, port in self.addresses]
-            return {"size": idle + busy, "busy": busy, "idle": idle,
-                    "max": self.parallel, "connected": self._connected,
-                    "workers": workers}
+        workers = [{"address": f"{host}:{port}",
+                    "dead": (now - self._dead.get((host, port), -1e9)
+                             < self.dead_cooldown)}
+                   for host, port in self.addresses]
+        return {"connected": self._opened, "workers": workers}
 
-    def submit(self, request: AnalysisRequest, runner: Runner, *,
-               on_start: Callable[[], None] | None = None,
-               chaos: dict | None = None, preempt=None):
-        _reject_session_ref(self.name, request)
+    def _note_lost(self, channel: FramedChannel) -> None:
+        self._dead[channel.peer] = time.monotonic()
 
-        def run(req: AnalysisRequest, _chaos=chaos,
-                _preempt=preempt) -> AnalysisResult:
-            return self._run_on_channel(req, chaos=_chaos,
-                                        preempt=_preempt)
-
-        return self._dispatch.submit(request, run, on_start=on_start)
-
-    # --------------------------------------------------------------- pooling
-    def _borrow(self) -> _TcpChannel:
-        stale: list[_TcpChannel] = []
-        channel: _TcpChannel | None = None
-        with self._lock:
-            if self._closed:
-                raise BackendError("remote-pool backend is closed")
-            self._busy += 1
-            while self._idle:
-                candidate = self._idle.pop()  # newest first: warmest
-                if candidate.alive():
-                    channel = candidate
-                    break
-                stale.append(candidate)
-        for dead in stale:
-            dead.close()
-        if channel is not None:
-            return channel
-        try:
-            return self._connect()
-        except BaseException:
-            with self._lock:
-                self._busy -= 1
-            raise
-
-    def _connect(self) -> _TcpChannel:
+    def _open(self) -> FramedChannel:
         """Dial the next reachable agent (round-robin, dead last)."""
         now = time.monotonic()
         with self._lock:
@@ -550,8 +345,7 @@ class RemotePoolBackend(ExecutionBackend):
         errors = []
         for address in fresh or order:
             try:
-                channel = _TcpChannel(address,
-                                      connect_timeout=self.connect_timeout)
+                channel = _dial(address, self.connect_timeout)
             except (OSError, WorkerCrashed) as exc:
                 errors.append(f"{address[0]}:{address[1]} ({exc})")
                 with self._lock:
@@ -559,68 +353,9 @@ class RemotePoolBackend(ExecutionBackend):
                 continue
             with self._lock:
                 self._dead.pop(address, None)
-                self._connected += 1
             return channel
         raise WorkerCrashed(
             "no reachable remote worker: " + "; ".join(errors))
-
-    def _run_on_channel(self, request: AnalysisRequest,
-                        chaos: dict | None = None,
-                        preempt=None) -> AnalysisResult:
-        if preempt is not None and preempt.is_set():
-            raise WorkerPreempted(preempt.reason or
-                                  "shard preempted before dispatch")
-        channel = self._borrow()
-        describe = (f"shard {request.fingerprint()[:12]} "
-                    f"on {channel.describe}")
-        timeout = request.options.shard_timeout
-        deadline = None if timeout is None else time.monotonic() + timeout
-        token = self._supervisor.watch(
-            kill=channel.kill, describe=describe, deadline=deadline,
-            beat=lambda: channel.last_beat, grace=self.heartbeat_grace)
-        hook = None
-        if preempt is not None:
-            def hook(reason, _channel=channel):
-                _channel.kill(reason or "shard preempted", preempted=True)
-            preempt.add_hook(hook)
-        try:
-            result = channel.measure(request, chaos=chaos)
-        except BaseException as error:
-            channel.close()          # never reuse a suspect channel
-            with self._lock:
-                self._busy -= 1
-            if isinstance(error, WorkerCrashed) \
-                    and not isinstance(error, WorkerPreempted):
-                with self._lock:
-                    self._dead[channel.address] = time.monotonic()
-                    self._restarts += 1
-                    restarts = self._restarts
-                logger.warning(
-                    "remote worker lost on %s (%s: %s); the next borrow "
-                    "reconnects elsewhere (worker_restarts=%d)",
-                    describe, type(error).__name__, error, restarts)
-            raise
-        finally:
-            if hook is not None:
-                preempt.remove_hook(hook)
-            self._supervisor.unwatch(token)
-        with self._lock:
-            self._busy -= 1
-            if not self._closed:
-                self._idle.append(channel)
-                channel = None
-        if channel is not None:
-            channel.close()
-        return result
-
-    def close(self) -> None:
-        self._dispatch.close()       # waits for in-flight borrows
-        self._supervisor.close()
-        with self._lock:
-            self._closed = True
-            idle, self._idle = self._idle, []
-        for channel in idle:
-            channel.close()
 
 
 # ------------------------------------------------------------- coordinator

@@ -85,10 +85,11 @@ FATAL_EXCEPTIONS = frozenset({
     "UnicodeDecodeError", "UnicodeEncodeError",
 })
 
-#: Dispatch-path seeds: every function in the backend and resilience
-#: modules (launch, worker mains, retry machinery), plus the service's
+#: Dispatch-path seeds: every function in the backend, cluster and
+#: resilience modules (launch, both pools' channel open and dispatch,
+#: worker mains, retry machinery), plus the service's
 #: measurement/launch/completion path by name.
-SEED_MODULES = ("api/backends.py", "api/resilience.py")
+SEED_MODULES = ("api/backends.py", "api/cluster.py", "api/resilience.py")
 SEED_SERVICE_FUNCTIONS = frozenset({
     "_measure", "_launch_group", "_finish_group", "_fail_group",
     "_run_degraded", "_store_put", "_check_provenance", "_assemble",

@@ -34,13 +34,12 @@ from __future__ import annotations
 import os
 import socket as socket_module
 import subprocess
-import sys
 import tempfile
 import threading
 import time
 import weakref
-from dataclasses import dataclass
 
+from .callsite import Site, caller_frame, creation_site, in_repro
 from .findings import LintFinding
 
 __all__ = ["RULE_RESOURCE_LEAK_RUNTIME", "ResourceTracker",
@@ -59,71 +58,37 @@ def tracking_enabled() -> bool:
     return os.environ.get(_ENV_FLAG) == "1"
 
 
-@dataclass(frozen=True)
-class _Site:
-    path: str
-    line: int
-
-    def __str__(self) -> str:
-        return f"{self.path}:{self.line}"
-
-
-def _default_scope(filename: str) -> bool:
-    """Track only resources created by repro source files."""
-    normalized = filename.replace(os.sep, "/")
-    return "/repro/" in normalized or normalized.endswith("/repro.py")
-
-
-def _caller_frame():
-    """First stack frame outside this module and the wrapped stdlib
-    modules, so the judged/recorded site is the code that *logically*
-    created the resource (``subprocess.run`` constructing its ``Popen``
-    is attributed to ``run``'s caller, and skipped when that caller is
-    not repro source)."""
-    skip = (__file__, threading.__file__, subprocess.__file__,
-            tempfile.__file__, socket_module.__file__)
-    frame = sys._getframe(2)
-    while frame is not None and frame.f_code.co_filename in skip:
-        frame = frame.f_back
-    return frame
-
-
-def _creation_site() -> _Site:
-    frame = _caller_frame()
-    if frame is None:  # pragma: no cover - defensive
-        return _Site("<unknown>", 0)
-    filename = frame.f_code.co_filename
-    for marker in ("/src/", "/site-packages/"):
-        index = filename.replace(os.sep, "/").rfind(marker)
-        if index >= 0:
-            filename = filename[index + len(marker):]
-            break
-    return _Site(filename.replace(os.sep, "/"), frame.f_lineno)
+#: Frames never judged as a resource's creator, so the recorded site is
+#: the code that *logically* created it (``subprocess.run`` constructing
+#: its ``Popen`` is attributed to ``run``'s caller, and skipped when
+#: that caller is not repro source).
+_SKIP = (__file__, threading.__file__, subprocess.__file__,
+         tempfile.__file__, socket_module.__file__)
 
 
 class ResourceTracker:
     """Records repro-created OS resources (module docstring)."""
 
     def __init__(self, scope=None):
-        self._scope = scope or _default_scope
+        self._scope = scope or in_repro
         self._lock = threading._allocate_lock()
         self.created: dict[str, int] = {kind: 0 for kind in KINDS}
         #: weakrefs to live objects: [(kind, site, ref)]
-        self._objects: list[tuple[str, _Site, weakref.ref]] = []
+        self._objects: list[tuple[str, Site, weakref.ref]] = []
         #: mkstemp fds with their fstat identity: [(site, fd, dev, ino)]
-        self._fds: list[tuple[_Site, int, int, int]] = []
+        self._fds: list[tuple[Site, int, int, int]] = []
         #: mkdtemp paths: [(site, path)]
-        self._dirs: list[tuple[_Site, str]] = []
+        self._dirs: list[tuple[Site, str]] = []
         self._installed = False
         self._originals: dict[str, object] = {}
 
     # ------------------------------------------------------------- recording
     def _in_scope(self) -> bool:
-        frame = _caller_frame()
+        frame = caller_frame(_SKIP)
         return frame is not None and self._scope(frame.f_code.co_filename)
 
     def _record_object(self, kind: str, obj) -> None:
-        site = _creation_site()
+        site = creation_site(_SKIP)
         with self._lock:
             self.created[kind] += 1
             self._objects.append((kind, site, weakref.ref(obj)))
@@ -161,7 +126,7 @@ class ResourceTracker:
             result = tracker._originals["mkstemp"](*args, **kwargs)
             if tracker._in_scope():
                 fd = result[0]
-                site = _creation_site()
+                site = creation_site(_SKIP)
                 try:
                     stat = os.fstat(fd)
                 except OSError:  # pragma: no cover - defensive
@@ -177,7 +142,7 @@ class ResourceTracker:
             if tracker._in_scope():
                 with tracker._lock:
                     tracker.created["temp dir"] += 1
-                    tracker._dirs.append((_creation_site(), path))
+                    tracker._dirs.append((creation_site(_SKIP), path))
             return path
 
         threading.Thread = make_tracked(self._originals["Thread"],
@@ -270,7 +235,7 @@ class ResourceTracker:
             return dict(self.created)
 
     @staticmethod
-    def _leak(site: _Site, what: str) -> LintFinding:
+    def _leak(site: Site, what: str) -> LintFinding:
         return LintFinding(
             path=site.path, line=site.line,
             rule=RULE_RESOURCE_LEAK_RUNTIME,

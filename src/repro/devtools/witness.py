@@ -30,10 +30,9 @@ waits.
 from __future__ import annotations
 
 import os
-import sys
 import threading
-from dataclasses import dataclass
 
+from .callsite import Site, caller_frame, creation_site, in_repro
 from .findings import LintFinding
 
 __all__ = ["RULE_WITNESS_CYCLE", "LockWitness", "witness_enabled"]
@@ -48,74 +47,35 @@ def witness_enabled() -> bool:
     return os.environ.get(_ENV_FLAG) == "1"
 
 
-@dataclass(frozen=True)
-class _Site:
-    """A lock creation site; the witness's unit of lock identity."""
-
-    path: str
-    line: int
-
-    def __str__(self) -> str:
-        return f"{self.path}:{self.line}"
-
-
-def _default_scope(filename: str) -> bool:
-    """Instrument only locks created by repro source files."""
-    normalized = filename.replace(os.sep, "/")
-    return "/repro/" in normalized or normalized.endswith("/repro.py")
-
-
-def _caller_frame():
-    """First stack frame outside this module and :mod:`threading`.
-
-    Both the creation-site label and the scope predicate must see the
-    frame that *logically* created the lock: with two witnesses stacked
-    (a session witness plus a test-local one), the inner factory calls
-    the outer one from this module, and the outer witness must judge
-    the original caller, not ``witness.py``.
-    """
-    skip = (__file__, threading.__file__)
-    frame = sys._getframe(2)
-    while frame is not None and frame.f_code.co_filename in skip:
-        frame = frame.f_back
-    return frame
-
-
-def _creation_site() -> _Site:
-    frame = _caller_frame()
-    if frame is None:  # pragma: no cover - defensive
-        return _Site("<unknown>", 0)
-    filename = frame.f_code.co_filename
-    for marker in ("/src/", "/site-packages/"):
-        index = filename.replace(os.sep, "/").rfind(marker)
-        if index >= 0:
-            filename = filename[index + len(marker):]
-            break
-    return _Site(filename.replace(os.sep, "/"), frame.f_lineno)
+#: Frames never judged as a lock's creator: with two witnesses stacked
+#: (a session witness plus a test-local one), the inner factory calls
+#: the outer one from this module, and the outer witness must judge the
+#: original caller, not ``witness.py``.
+_SKIP = (__file__, threading.__file__)
 
 
 class LockWitness:
     """Records actual nested-acquisition edges (module docstring)."""
 
     def __init__(self, scope=None):
-        self._scope = scope or _default_scope
+        self._scope = scope or in_repro
         self._graph_lock = threading._allocate_lock()
         #: (src site, dst site) -> (thread name, count)
-        self.edges: dict[tuple[_Site, _Site], tuple[str, int]] = {}
+        self.edges: dict[tuple[Site, Site], tuple[str, int]] = {}
         self.acquisitions = 0
         self._local = threading.local()
         self._installed = False
         self._originals: dict[str, object] = {}
 
     # ------------------------------------------------------------- tracking
-    def _held(self) -> list[tuple[_Site, int]]:
+    def _held(self) -> list[tuple[Site, int]]:
         """This thread's held stack: (site, id(lock)) pairs."""
         stack = getattr(self._local, "stack", None)
         if stack is None:
             stack = self._local.stack = []
         return stack
 
-    def _note_acquired(self, site: _Site, lock_id: int) -> None:
+    def _note_acquired(self, site: Site, lock_id: int) -> None:
         stack = self._held()
         reentrant = any(held_id == lock_id for _, held_id in stack)
         if not reentrant:
@@ -149,7 +109,7 @@ class LockWitness:
 
         def make_factory(real_factory):
             def factory(*args, **kwargs):
-                frame = _caller_frame()
+                frame = caller_frame(_SKIP)
                 if frame is None or not witness._scope(
                         frame.f_code.co_filename):
                     return real_factory(*args, **kwargs)
@@ -158,7 +118,7 @@ class LockWitness:
             return factory
 
         def condition_factory(lock=None):
-            frame = _caller_frame()
+            frame = caller_frame(_SKIP)
             if frame is None or not witness._scope(
                     frame.f_code.co_filename):
                 return self._originals["Condition"](lock)
@@ -191,7 +151,7 @@ class LockWitness:
         """Cycle findings over the observed acquisition-order graph."""
         with self._graph_lock:
             edges = dict(self.edges)
-        graph: dict[_Site, set[_Site]] = {}
+        graph: dict[Site, set[Site]] = {}
         for (src, dst), _ in edges.items():
             graph.setdefault(src, set()).add(dst)
             graph.setdefault(dst, set())
@@ -225,7 +185,7 @@ class _WitnessedLock:
     def __init__(self, witness: LockWitness, inner):
         self._witness = witness
         self._inner = inner
-        self._site = _creation_site()
+        self._site = creation_site(_SKIP)
 
     def acquire(self, blocking=True, timeout=-1):
         acquired = self._inner.acquire(blocking, timeout)
@@ -291,15 +251,15 @@ class _WitnessedCondition(threading.Condition):
         super().__init__(lock)
 
 
-def _site_cycles(graph: dict[_Site, set[_Site]]) -> list[list[_Site]]:
-    index: dict[_Site, int] = {}
-    low: dict[_Site, int] = {}
-    stack: list[_Site] = []
-    on_stack: set[_Site] = set()
-    components: list[list[_Site]] = []
+def _site_cycles(graph: dict[Site, set[Site]]) -> list[list[Site]]:
+    index: dict[Site, int] = {}
+    low: dict[Site, int] = {}
+    stack: list[Site] = []
+    on_stack: set[Site] = set()
+    components: list[list[Site]] = []
     counter = [0]
 
-    def connect(node: _Site) -> None:
+    def connect(node: Site) -> None:
         index[node] = low[node] = counter[0]
         counter[0] += 1
         stack.append(node)

@@ -22,9 +22,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.api import (AnalysisRequest, BackendError, ExecutionOptions,
-                       InlineBackend, ModelRef, ResilienceService,
-                       ShardMismatch, make_backend, merge_shards, plan_shards)
+from repro.api import (AnalysisRequest, ExecutionOptions, InlineBackend,
+                       ModelRef, ResilienceService, ShardMismatch,
+                       make_backend, merge_shards, plan_shards)
 from repro.core import ResilienceCurve, ResiliencePoint
 from repro.core.sweep import SweepEngine, SweepTarget
 
@@ -65,8 +65,10 @@ def _accuracies(result) -> dict:
 
 class TestMakeBackend:
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            make_backend("gpu")
+        # "subprocess" is the deleted one-shot backend: procpool took over.
+        for name in ("gpu", "subprocess"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                make_backend(name)
 
     def test_inline_rejects_max_parallel(self):
         with pytest.raises(ValueError, match="inline backend"):
@@ -311,22 +313,16 @@ class TestConcurrencyStress:
         assert stats.executed + stats.deduplicated == 10
 
 
-class TestSubprocessBackend:
-    def test_session_refs_rejected_loudly(self, service, session_request):
-        svc = service(use_store=False, backend="subprocess", max_parallel=1)
-        handle = svc.submit(session_request(svc))
-        with pytest.raises(BackendError, match="session ref"):
-            handle.result(timeout=60)
-
+class TestProcPoolProvenance:
     def test_mutated_zoo_model_rejected_not_silently_mismeasured(
             self, service):
-        """Review regression: a subprocess worker re-resolves the zoo ref
+        """Review regression: a procpool worker re-resolves the zoo ref
         and measures the *pristine* model; if the parent mutated its
         in-process copy (the X2 ablation pattern), filing the worker's
         curves under the mutated fingerprint would silently report
         unmutated results for every mutation.  The provenance check must
         fail the job loudly instead."""
-        svc = service(use_store=False, backend="subprocess", max_parallel=1)
+        svc = service(use_store=False, backend="procpool", max_parallel=1)
         ref = ModelRef(benchmark="CapsNet/MNIST")
         model = svc.entry(ref).model
         routed = [module for module in model.modules()

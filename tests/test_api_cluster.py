@@ -12,8 +12,11 @@ splice + reroute (or a loud 502 when nothing is left).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import socket
+import subprocess
+import sys
 import threading
 import time
 
@@ -23,6 +26,7 @@ from repro.api import (AnalysisRequest, AnalysisServer, ExecutionOptions,
                        Fault, FaultPlan, ModelRef, RemoteError,
                        RemoteService, ResilienceService, ResultStore,
                        RetryPolicy, make_backend)
+from repro.api.backends import _worker_env
 from repro.api.cluster import (ClusterCoordinator, CoordinatorServer,
                                NodeUnreachable, RemotePoolBackend,
                                WorkerAgent, parse_worker_address)
@@ -76,6 +80,45 @@ def service(tmp_path):
         instance.close()
 
 
+class _PipeStream:
+    """A ``--pool-worker`` child's pipes as one read/write text stream."""
+
+    def __init__(self, process):
+        self.process = process
+
+    def write(self, text: str) -> None:
+        self.process.stdin.write(text)
+
+    def flush(self) -> None:
+        self.process.stdin.flush()
+
+    def readline(self) -> str:
+        return self.process.stdout.readline()
+
+
+@contextlib.contextmanager
+def _raw_worker(transport: str, agent):
+    """A raw framed stream to one worker, past any greeting: a fresh
+    procpool worker process (``pipe``) or ``agent`` over TCP."""
+    if transport == "tcp":
+        with socket.create_connection(parse_worker_address(agent.address),
+                                      timeout=5) as sock:
+            stream = sock.makefile("rw", encoding="utf-8")
+            stream.readline()                       # the hello frame
+            yield stream
+        return
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.api.backends", "--pool-worker"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL, text=True, env=_worker_env())
+    try:
+        yield _PipeStream(process)
+    finally:
+        process.stdin.close()
+        process.stdout.close()
+        process.wait(timeout=30)
+
+
 # ========================================================= worker protocol
 class TestWorkerProtocol:
     def test_parse_worker_address(self):
@@ -94,20 +137,22 @@ class TestWorkerProtocol:
             assert hello["schema"] == SCHEMA_VERSION
             assert hello["pid"] > 0
 
-    def test_undecodable_frame_answers_error_envelope(self, agents):
-        with socket.create_connection(
-                parse_worker_address(agents[0].address), timeout=5) as sock:
-            stream = sock.makefile("rw", encoding="utf-8")
-            stream.readline()                       # the hello frame
+    @pytest.mark.parametrize("transport", ["pipe", "tcp"])
+    def test_undecodable_frame_answers_error_envelope(self, agents,
+                                                      transport):
+        """Both transports run one frame loop: a procpool worker over its
+        pipes and a TCP agent answer garbage with an error envelope and
+        keep serving."""
+        with _raw_worker(transport, agents[0]) as stream:
             stream.write("{torn garbage\n")
             stream.flush()
             envelope = json.loads(stream.readline())
             assert "undecodable frame" in envelope["error"]
             # The connection survives a bad frame — a second one answers
-            # too (the agent never wedges on garbage input).
+            # too (the worker never wedges on garbage input).
             stream.write("[1, 2]\n")
             stream.flush()
-            assert "error" in json.loads(stream.readline())
+            assert "non-object frame" in json.loads(stream.readline())["error"]
 
     def test_bad_request_payload_is_error_envelope_not_death(self, agents):
         with socket.create_connection(
@@ -205,10 +250,10 @@ class TestRemotePool:
         """Satellite: the wire dying mid-frame surfaces as the retryable
         WorkerCrashed (the dispatch path's taxonomy), not a hang or a
         torn result."""
-        from repro.api.cluster import _TcpChannel
+        from repro.api.cluster import _dial
         from repro.api import WorkerCrashed
         victim = WorkerAgent().start()
-        channel = _TcpChannel(parse_worker_address(victim.address))
+        channel = _dial(parse_worker_address(victim.address))
         try:
             killer = threading.Timer(0.3, victim.die)
             killer.start()

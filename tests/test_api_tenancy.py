@@ -473,6 +473,29 @@ class TestElasticPool:
         finally:
             backend.close()
 
+    def test_dead_idle_worker_closed_outside_the_pool_lock(self):
+        """Closing a channel blocks (file close, reaping a child), so a
+        borrow that finds a dead idle worker must close it only after
+        dropping the pool lock."""
+        backend = ProcPoolBackend(1)
+
+        class _DeadWorker(_FakeWorker):
+            def alive(self) -> bool:
+                return False
+
+            def close(self) -> None:
+                assert not backend._lock.locked()
+                super().close()
+
+        dead, fresh = _DeadWorker(), _FakeWorker()
+        backend._idle[:] = [(dead, time.monotonic())]
+        backend._open = lambda: fresh
+        try:
+            assert backend._borrow() is fresh
+            assert dead.closed
+        finally:
+            backend.close()
+
     def test_ttl_validated(self):
         with pytest.raises(ValueError, match="idle_ttl"):
             ProcPoolBackend(1, idle_ttl=0)
