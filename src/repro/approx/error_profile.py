@@ -9,6 +9,12 @@ kernels), Gaussian interpolation of the error distribution, and the
 ``NM(Δ) = std(Δ) / R(X)``   and   ``NA(Δ) = mean(Δ) / R(X)``
 
 where ``R(X)`` is the value range of the accurate result array.
+
+``scipy.stats`` is imported on first use, inside the two Fig. 6 statistics
+that need it (:meth:`GaussianFit.pdf` and :func:`is_gaussian_like`). This
+module sits on the import path of ``repro.api``, so a module-level import
+would cost every procpool worker, CLI and HTTP interpreter about a second
+at start-up for functions that no sweep or service path calls.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .multipliers import MultiplierModel
 
@@ -39,6 +44,8 @@ class GaussianFit:
         """Normal density with the fitted parameters."""
         if self.std <= 0:
             return np.where(np.asarray(x) == self.mean, np.inf, 0.0)
+        from scipy import stats
+
         return stats.norm.pdf(x, loc=self.mean, scale=self.std)
 
 
@@ -87,6 +94,8 @@ def arithmetic_errors(multiplier: MultiplierModel, *, samples: int = 100_000,
     """
     if accumulations < 1:
         raise ValueError("accumulations must be >= 1")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     total = samples * accumulations
     a = sample_operands(rng, total, inputs_a)
@@ -109,6 +118,8 @@ def is_gaussian_like(errors: np.ndarray, *, pvalue_threshold: float = 1e-3,
     if np.allclose(errors, errors[0]):
         # Constant (e.g. exact multiplier): a degenerate Gaussian.
         return True, 1.0
+    from scipy import stats
+
     skew = float(stats.skew(errors))
     kurt = float(stats.kurtosis(errors))
     try:
@@ -144,6 +155,8 @@ def measure_noise_parameters(multiplier: MultiplierModel, *,
     The error statistics are normalised by the range ``R`` of the accurate
     products over the same input set.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     a = sample_operands(rng, samples, inputs_a)
     b = sample_operands(rng, samples, inputs_b)

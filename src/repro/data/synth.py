@@ -8,12 +8,17 @@ thickness, pixel noise, cluttered backgrounds), so that
 
 * mini capsule networks reach high clean accuracy (Table II analogue), and
 * input-value distributions are non-uniform (exercising Fig. 11 / Table IV).
+
+``scipy.ndimage`` is imported on first use, inside the four functions that
+filter or warp an image. Importing it at module top would make every
+interpreter that imports ``repro.api`` (each procpool worker, the HTTP front
+end, the CLI) pay for it at start-up, although only a process that
+regenerates a dataset split ever calls it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = [
     "render_digit", "render_garment", "synth_mnist_image",
@@ -142,6 +147,8 @@ def render_garment(label: int, size: int = 28) -> np.ndarray:
     """Rasterise a garment silhouette as a filled ``size×size`` float image."""
     if label not in GARMENT_PRIMITIVES:
         raise ValueError(f"label must be 0-9, got {label}")
+    from scipy import ndimage
+
     px, py = _pixel_grid(size)
     image = np.zeros((size, size), dtype=np.float32)
     for primitive in GARMENT_PRIMITIVES[label]:
@@ -156,6 +163,8 @@ def _random_affine(image: np.ndarray, rng: np.random.Generator, *,
                    max_rotate: float = 12.0, scale_range=(0.88, 1.12),
                    max_shift: float = 2.0) -> np.ndarray:
     """Apply a random rotation/scale/shift around the image centre."""
+    from scipy import ndimage
+
     angle = np.deg2rad(rng.uniform(-max_rotate, max_rotate))
     scale = rng.uniform(*scale_range)
     cos, sin = np.cos(angle) / scale, np.sin(angle) / scale
@@ -239,6 +248,8 @@ def _shape_mask(shape: str, size: int, rng: np.random.Generator) -> np.ndarray:
 
 def _textured_background(size: int, rng: np.random.Generator,
                          hue: float) -> np.ndarray:
+    from scipy import ndimage
+
     noise = rng.normal(0.0, 1.0, (3, size, size))
     smooth = np.stack([ndimage.gaussian_filter(c, 2.5) for c in noise])
     smooth = (smooth - smooth.min()) / (np.ptp(smooth) + 1e-9)
@@ -253,6 +264,8 @@ def synth_cifar10_image(label: int, rng: np.random.Generator,
     Each class is a fixed (shape, hue) pair rendered over a smooth textured
     background in a shifted hue.
     """
+    from scipy import ndimage
+
     shape, hue = _CIFAR_SHAPES[label], float(_CIFAR_HUES[label])
     image = _textured_background(size, rng, (hue + 0.45) % 1.0)
     mask = _shape_mask(shape, size, rng)

@@ -12,11 +12,17 @@ Four kinds of armor:
 * **Lock granularity** (the ISSUE 4 bugfix) — a warm store hit never
   touches any engine lock, and a slow sweep on model A does not block a
   pure store lookup for model B.
+* **Import hygiene** — the service, the CLI and the procpool worker's
+  ``-m`` entry boot without ``scipy.stats`` / ``scipy.ndimage``, which
+  cost about a second per interpreter and no sweep or service path calls.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -61,6 +67,27 @@ def session_request(trained_capsnet, mnist_splits):
 def _accuracies(result) -> dict:
     return {key: [point.accuracy for point in curve.points]
             for key, curve in result.curves.items()}
+
+
+SRC_ROOT = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src")
+
+
+@pytest.mark.parametrize(
+    "module", ["repro.api", "repro.cli", "repro.api.backends"])
+def test_cold_import_skips_heavy_scipy_modules(module):
+    """A fresh interpreter importing an entry point loads neither
+    ``scipy.stats`` nor ``scipy.ndimage``: they load on first use (Fig. 6
+    statistics, dataset regeneration), not at boot of every worker, CLI
+    and HTTP process."""
+    probe = (f"import sys, {module}; "
+             "print(sorted(name for name in ('scipy.stats', 'scipy.ndimage')"
+             " if name in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=SRC_ROOT)
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestMakeBackend:

@@ -71,6 +71,12 @@ class TestArithmeticErrors:
         with pytest.raises(ValueError):
             arithmetic_errors(trunc_mult, accumulations=0)
 
+    def test_zero_samples_rejected(self, trunc_mult):
+        # Rejected in arithmetic_errors, before is_gaussian_like indexes
+        # errors[0] of an empty array.
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            profile_multiplier(trunc_mult, samples=0)
+
 
 class TestGaussianLike:
     def test_normal_accepted(self, rng):
@@ -134,6 +140,10 @@ class TestNoiseParameters:
             inputs_b=small_pool)
         _, nm_uniform = measure_noise_parameters(trunc_mult, samples=20_000)
         assert nm_small > nm_uniform
+
+    def test_zero_samples_rejected(self, trunc_mult):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            measure_noise_parameters(trunc_mult, samples=0)
 
     def test_degenerate_inputs_raise(self, trunc_mult):
         pool = np.array([1.0])
