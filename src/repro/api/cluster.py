@@ -64,17 +64,16 @@ import socketserver
 import threading
 import time
 import urllib.error
-import urllib.parse
 import urllib.request
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .backends import (DEFAULT_MAX_PARALLEL, FramedChannel, PooledBackend,
                        serve_frames)
 from .events import TERMINAL_EVENTS, AnalysisEvent
 from .request import SCHEMA_VERSION, AnalysisRequest
 from .resilience import BackendError, WorkerCrashed
-from .server import WAIT_SLICE_SECONDS, RemoteError
+from .server import (WAIT_SLICE_SECONDS, RemoteError, _ApiHandler,
+                     _BadRequest, _HttpFront)
 
 __all__ = ["WorkerAgent", "RemotePoolBackend", "ClusterCoordinator",
            "CoordinatorServer", "NodeUnreachable", "parse_worker_address"]
@@ -677,185 +676,66 @@ class ClusterCoordinator:
                 last_seq = 0
 
 
-class CoordinatorServer:
+class CoordinatorServer(_HttpFront):
     """Serve one :class:`ClusterCoordinator` over HTTP.
 
-    The surface is the node API itself (same endpoints, same status
-    codes, same headers), so :class:`~repro.api.server.RemoteService`
-    pointed at a coordinator behaves exactly as against a single node.
+    The surface is the node API itself (same :data:`~repro.api.server.
+    ROUTES`, same handler base, same status codes and headers), so
+    :class:`~repro.api.server.RemoteService` pointed at a coordinator
+    behaves exactly as against a single node.
     """
 
     def __init__(self, coordinator: ClusterCoordinator, *,
                  host: str = "127.0.0.1", port: int = 0):
         self.coordinator = coordinator
-        self._closed = False
-        handler = _make_coordinator_handler(coordinator)
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
-        self._thread: threading.Thread | None = None
-
-    @property
-    def address(self) -> str:
-        host, port = self._httpd.server_address[:2]
-        return f"http://{host}:{port}"
-
-    def start(self) -> "CoordinatorServer":
-        """Serve on a background thread; returns self."""
-        self._thread = threading.Thread(target=self._httpd.serve_forever,
-                                        name="repro-coordinate",
-                                        daemon=True)
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until interrupted."""
-        self._httpd.serve_forever()
-
-    def shutdown(self) -> None:
-        """Stop serving (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
+        super().__init__(_make_coordinator_handler(coordinator), host, port,
+                         "repro-coordinate")
 
 
 def _make_coordinator_handler(coordinator: ClusterCoordinator):
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-
-        def log_message(self, *args) -> None:  # noqa: D102
-            pass
-
-        def _reply(self, code: int, payload: dict | str,
-                   headers: dict | None = None) -> None:
-            body = (payload if isinstance(payload, str)
-                    else json.dumps(payload, sort_keys=True))
-            data = body.encode()
-            self.send_response(code)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(data)))
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(data)
-
-        def _error(self, code: int, message: str) -> None:
-            self._reply(code, {"error": message})
-
+    class Handler(_ApiHandler):
         def _forward(self, status: int, headers, body: bytes) -> None:
             """Re-send a node's answer under coordinator framing."""
-            content_type = "application/json"
-            if headers is not None and headers.get("Content-Type"):
-                content_type = headers.get("Content-Type")
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            for name in ("X-Repro-From-Cache", "Retry-After"):
-                value = (headers.get(name) if headers is not None
-                         else None)
-                if value is not None:
-                    self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(body)
+            headers = headers or {}
+            self._reply(status, body, headers={
+                name: headers.get(name)
+                for name in ("Content-Type", "X-Repro-From-Cache",
+                             "Retry-After")
+                if headers.get(name) is not None})
 
-        # ----------------------------------------------------------- routes
-        def do_GET(self) -> None:  # noqa: N802 — http.server API
-            try:
-                path, _, query = self.path.partition("?")
-                if path == "/v1/health":
-                    self._reply(200, coordinator.health_payload())
-                    return
-                if path == "/v1/inspect":
-                    self._reply(200, coordinator.inspect())
-                    return
-                if path.startswith("/v1/events/"):
-                    self._events_route(path[len("/v1/events/"):], query)
-                    return
-                for prefix in ("/v1/status/", "/v1/result/",
-                               "/v1/partial/"):
-                    if path.startswith(prefix):
-                        job = path[len(prefix):]
-                        suffix = f"?{query}" if query else ""
-                        status, headers, body = coordinator.proxy_job(
-                            job, path + suffix,
-                            timeout=WAIT_SLICE_SECONDS
-                            + coordinator.probe_timeout + 15.0)
-                        self._forward(status, headers, body)
-                        return
-                self._error(404, f"unknown endpoint {path!r}")
-            except KeyError as exc:
-                job = exc.args[0] if exc.args else "?"
-                self._error(404, f"unknown job {job!r}")
-            except NodeUnreachable as exc:
-                self._error(502, str(exc))
-            except Exception as exc:  # noqa: BLE001 — must answer the socket
-                self._error(500, str(exc))
+        def route_health(self) -> None:
+            self._reply(200, coordinator.health_payload())
 
-        def _events_route(self, job: str, query: str) -> None:
-            params = urllib.parse.parse_qs(query)
-            try:
-                values = params.get("after")
-                after = int(values[-1]) if values else 0
-            except ValueError:
-                after = 0
-            embed = (params.get("embed_partial", ["1"])[-1]
-                     not in ("0", "false"))
+        def route_inspect(self) -> None:
+            self._reply(200, coordinator.inspect())
+
+        def _proxy(self, job: str) -> None:
+            self._forward(*coordinator.proxy_job(
+                job, self.path, timeout=WAIT_SLICE_SECONDS
+                + coordinator.probe_timeout + 15.0))
+
+        route_status = route_result = route_partial = _proxy
+
+        def route_events(self, job: str) -> None:
             # Resolve the owner *before* committing to a 200 chunked
             # reply — an unknown job must still answer 404.
             coordinator.locate(job)
-            self.send_response(200)
-            self.send_header("Content-Type", "application/x-ndjson")
-            self.send_header("Transfer-Encoding", "chunked")
-            self.end_headers()
-            try:
-                for line in coordinator.stream_events(
-                        job, after=after, embed_partial=embed):
-                    self._write_chunk(line)
-                self.wfile.write(b"0\r\n\r\n")
-            except (BrokenPipeError, ConnectionResetError):
-                # The client hung up mid-stream — nothing to answer.
-                self.close_connection = True
+            self._stream(coordinator.stream_events(
+                job, after=self._after(),
+                embed_partial=self._embed_partial()))
 
-        def _write_chunk(self, text: str) -> None:
-            data = text.encode()
-            self.wfile.write(f"{len(data):x}\r\n".encode())
-            self.wfile.write(data)
-            self.wfile.write(b"\r\n")
+        def route_cancel(self, job: str) -> None:
+            self._forward(*coordinator.proxy_job(
+                job, "/v1/cancel/" + job, data=b"",
+                timeout=coordinator.probe_timeout + 15.0))
 
-        def do_POST(self) -> None:  # noqa: N802 — http.server API
+        def route_submit(self) -> None:
+            body = self._read_body()
             try:
-                path, _, query = self.path.partition("?")
-                if path.startswith("/v1/cancel/"):
-                    job = path[len("/v1/cancel/"):]
-                    status, headers, body = coordinator.proxy_job(
-                        job, "/v1/cancel/" + job, data=b"",
-                        timeout=coordinator.probe_timeout + 15.0)
-                    self._forward(status, headers, body)
-                    return
-                if path != "/v1/submit":
-                    self._error(404, f"unknown endpoint {self.path!r}")
-                    return
-                length = int(self.headers.get("Content-Length", 0))
-                body = self.rfile.read(length)
-                try:
-                    values = urllib.parse.parse_qs(query).get("priority")
-                    priority = int(values[-1]) if values else 0
-                    client = self.headers.get("X-Repro-Client") or None
-                    status, headers, answer = coordinator.submit(
-                        body, priority=priority, client_id=client)
-                except (ValueError, KeyError, TypeError) as exc:
-                    self._error(400, str(exc))
-                    return
-                self._forward(status, headers, answer)
-            except KeyError as exc:
-                job = exc.args[0] if exc.args else "?"
-                self._error(404, f"unknown job {job!r}")
-            except NodeUnreachable as exc:
-                self._error(502, str(exc))
-            except Exception as exc:  # noqa: BLE001 — must answer the socket
-                self._error(500, str(exc))
+                answer = coordinator.submit(body, priority=self._priority(),
+                                            client_id=self._client_id())
+            except (ValueError, KeyError, TypeError) as exc:
+                raise _BadRequest(str(exc)) from None
+            self._forward(*answer)
 
     return Handler

@@ -48,7 +48,7 @@ __all__ = ["SCHEMA_VERSION", "NOISE_KINDS", "ModelRef", "AnalysisRequest",
            "AnalysisResult", "PartialResult", "SchemaError"]
 
 #: Version of the request/result JSON schema.  Bump on breaking changes.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Supported noise models.  ``gaussian`` is the paper's Eq. 3-4 model
 #: (``nm_values`` is the NM grid); ``quantization`` injects the Eq. 1
@@ -213,7 +213,7 @@ class AnalysisRequest:
 
         Differs from :meth:`to_payload` in two ways: the execution
         options collapse to :meth:`~repro.core.sweep.ExecutionOptions.
-        cache_key`, so result-invariant knobs (``workers``; ``naive`` vs
+        cache_key`, so result-invariant knobs (``naive`` vs
         ``cached``; ``shared_votes`` outside the stacked tier) hash
         identically — and session *names* are erased, because they are
         handles rather than content: the store key's model and dataset

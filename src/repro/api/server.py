@@ -1,4 +1,4 @@
-"""Remote serving: the analysis API over HTTP, schema v1 as the wire.
+"""Remote serving: the analysis API over HTTP, versioned JSON as the wire.
 
 ``repro serve`` starts :class:`AnalysisServer` — a local daemon wrapping
 one :class:`~repro.api.service.ResilienceService` — and ``repro run
@@ -8,28 +8,34 @@ format is exactly the versioned JSON schema of :mod:`repro.api.request`;
 nothing bespoke crosses the socket, so any HTTP client can drive the
 service.
 
-Endpoints (all JSON)::
+Endpoints (:data:`ROUTES`; all JSON)::
 
     GET  /v1/health           {"ok", "schema", "backend", "stats", "queue"}
-    POST /v1/submit[?priority=N]
-                              body: AnalysisRequest  ->  {"job", "status"};
-                              429 + Retry-After when the queue is full;
-                              an X-Repro-Client header names the tenant
-                              (stamped into options.client_id when the
-                              body does not already carry one)
+    GET  /v1/inspect          {"root", "entries": [...]}
     GET  /v1/status/<job>     {"job", "status", "shards_*", ...}
     GET  /v1/result/<job>     AnalysisResult (202 + status while pending;
                               ?wait=SECONDS long-polls up to
                               min(SECONDS, WAIT_SLICE_SECONDS);
                               409 when the job was cancelled)
     GET  /v1/partial/<job>    PartialResult — the merged-so-far curves
-    GET  /v1/events/<job>[?after=SEQ]
+    GET  /v1/events/<job>[?after=SEQ][&embed_partial=0]
                               chunked ndjson stream of AnalysisEvent
                               documents; ends at the terminal event or
                               after WAIT_SLICE_SECONDS of silence
                               (resume with after=<last seq>)
+    POST /v1/submit[?priority=N]
+                              body: AnalysisRequest  ->  {"job", "status"};
+                              400 on a missing or negative Content-Length
+                              or a malformed body; 429 + Retry-After when
+                              the queue is full; an X-Repro-Client header
+                              names the tenant (stamped into
+                              options.client_id when the body does not
+                              already carry one)
     POST /v1/cancel/<job>     {"job", "cancelled", "status"}
-    GET  /v1/inspect          {"root", "entries": [...]}
+
+Any other method or path answers 404, as does an unknown job id.  The
+coordinator (:mod:`repro.api.cluster`) serves the same table through the
+same handler base, so a client cannot tell the two fronts apart.
 
 Job ids are the service's content-addressed store keys, so re-submitting
 an identical request returns the same id (idempotent) and a finished
@@ -47,6 +53,7 @@ silence slice, like long-polls.
 from __future__ import annotations
 
 import json
+import logging
 import threading
 import time
 import urllib.error
@@ -63,6 +70,8 @@ from .service import AnalysisHandle, ResilienceService, _cached_handle
 
 __all__ = ["AnalysisServer", "RemoteService", "RemoteHandle", "RemoteError",
            "RemoteBusy", "ServerDraining"]
+
+logger = logging.getLogger("repro.api.server")
 
 #: Seconds one ?wait=1 long-poll (or one silent event-stream slice)
 #: blocks before yielding the handler thread back (clients re-poll or
@@ -96,39 +105,186 @@ class RemoteBusy(RemoteError):
         self.retry_after = float(retry_after)
 
 
-class AnalysisServer:
-    """Serve one :class:`ResilienceService` over HTTP (see module doc).
+class _BadRequest(ValueError):
+    """The request itself is malformed: answered 400."""
 
-    Parameters
-    ----------
-    service:
-        The service to expose; its backend decides execution parallelism.
-    host / port:
-        Bind address; ``port=0`` picks a free port (see :attr:`address`).
+
+#: The ``/v1`` surface both HTTP fronts serve, as (method, path, route
+#: name).  A path ending in ``/`` is a prefix whose remainder is the job
+#: id; each front's handler implements ``route_<name>``.
+ROUTES: tuple[tuple[str, str, str], ...] = (
+    ("GET", "/v1/health", "health"),
+    ("GET", "/v1/inspect", "inspect"),
+    ("GET", "/v1/status/", "status"),
+    ("GET", "/v1/result/", "result"),
+    ("GET", "/v1/partial/", "partial"),
+    ("GET", "/v1/events/", "events"),
+    ("POST", "/v1/submit", "submit"),
+    ("POST", "/v1/cancel/", "cancel"),
+)
+
+
+class _ApiHandler(BaseHTTPRequestHandler):
+    """Framing, query parsing and :data:`ROUTES` dispatch for a front.
+
+    Subclasses supply only the ``route_<name>`` bodies.  Exceptions map
+    to one status table: :class:`_BadRequest` → 400, ``KeyError``
+    (unknown job) → 404, :class:`RemoteError` (an upstream fleet node
+    did not answer) → 502, anything else → 500.
     """
 
-    def __init__(self, service: ResilienceService, *,
-                 host: str = "127.0.0.1", port: int = 0):
-        self.service = service
-        self._jobs: dict[str, AnalysisHandle] = {}
-        self._jobs_lock = threading.Lock()
-        self._draining = False
+    # Chunked transfer (the /v1/events stream) is an HTTP/1.1 construct
+    # — a 1.0 response advertising it mis-frames for conformant clients.
+    # Plain replies always carry Content-Length, so 1.1 keep-alive
+    # framing is satisfied too.
+    protocol_version = "HTTP/1.1"
+
+    # Silence per-request stderr logging (the CLI prints the address).
+    def log_message(self, *args) -> None:  # noqa: D102
+        pass
+
+    def do_GET(self) -> None:  # noqa: N802 — http.server API
+        self._dispatch()
+
+    def do_POST(self) -> None:  # noqa: N802 — http.server API
+        self._dispatch()
+
+    def _dispatch(self) -> None:
+        path, _, query = self.path.partition("?")
+        self.query = urllib.parse.parse_qs(query)
+        try:
+            for method, route, name in ROUTES:
+                if method != self.command:
+                    continue
+                if route.endswith("/") and path.startswith(route):
+                    getattr(self, "route_" + name)(path[len(route):])
+                    return
+                if path == route:
+                    getattr(self, "route_" + name)()
+                    return
+            self._error(404, f"unknown endpoint {path!r}")
+        except _BadRequest as exc:
+            self._error(400, str(exc))
+        except KeyError as exc:
+            job = exc.args[0] if exc.args else "?"
+            self._error(404, f"unknown job {job!r}")
+        except RemoteError as exc:
+            self._error(502, str(exc))
+        except Exception as exc:  # noqa: BLE001 — must answer the socket
+            logger.exception("%s %s failed", self.command, self.path)
+            self._error(500, str(exc))
+
+    # ------------------------------------------------------------- framing
+    def _reply(self, code: int, payload: dict | str | bytes,
+               headers: dict | None = None) -> None:
+        if isinstance(payload, dict):
+            payload = json.dumps(payload, sort_keys=True)
+        data = payload.encode() if isinstance(payload, str) else payload
+        self.send_response(code)
+        for name, value in {"Content-Type": "application/json",
+                            **(headers or {})}.items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def _error(self, code: int, message: str) -> None:
+        self._reply(code, {"error": message})
+
+    def _write_chunk(self, text: str) -> None:
+        data = text.encode()
+        self.wfile.write(f"{len(data):x}\r\n".encode())
+        self.wfile.write(data)
+        self.wfile.write(b"\r\n")
+
+    def _stream(self, lines) -> None:
+        """Send ``lines`` as a chunked ndjson 200 reply."""
+        self.send_response(200)
+        self.send_header("Content-Type", "application/x-ndjson")
+        self.send_header("Transfer-Encoding", "chunked")
+        self.end_headers()
+        try:
+            for line in lines:
+                self._write_chunk(line)
+            self.wfile.write(b"0\r\n\r\n")
+        except (BrokenPipeError, ConnectionResetError):
+            # The client hung up mid-stream (e.g. right after the
+            # terminal event) — nothing left to answer.
+            self.close_connection = True
+
+    def _read_body(self) -> bytes:
+        """The request body; a missing, non-integer or negative
+        ``Content-Length`` is a 400 (reading on would block or guess)."""
+        raw = self.headers.get("Content-Length")
+        try:
+            length = int(raw)
+        except (TypeError, ValueError):
+            length = -1
+        if length < 0:
+            # The body's extent is unknown, so the connection cannot be
+            # reused for another request.
+            self.close_connection = True
+            raise _BadRequest(f"Content-Length must be a non-negative "
+                              f"integer, got {raw!r}")
+        return self.rfile.read(length)
+
+    # --------------------------------------------------------------- query
+    def _last(self, name: str) -> str | None:
+        values = self.query.get(name)
+        return values[-1] if values else None
+
+    def _after(self) -> int:
+        """``?after=SEQ`` of an event stream (malformed → 0)."""
+        try:
+            return int(self._last("after") or 0)
+        except ValueError:
+            return 0
+
+    def _embed_partial(self) -> bool:
+        """``?embed_partial=0`` slims shard_done payloads to pointers —
+        wide requests otherwise amplify O(shards×curves) bytes through
+        every proxy hop."""
+        return self._last("embed_partial") not in ("0", "false")
+
+    def _wait(self) -> float:
+        """Seconds the ``?wait=`` long-poll grants, capped per slice."""
+        try:
+            wait = float(self._last("wait") or 0.0)
+        except ValueError:
+            wait = 0.0
+        return max(0.0, min(wait, WAIT_SLICE_SECONDS))
+
+    def _priority(self) -> int:
+        """``?priority=N`` of a submission (malformed → 400)."""
+        try:
+            return int(self._last("priority") or 0)
+        except ValueError:
+            raise _BadRequest(f"priority must be an integer, got "
+                              f"{self._last('priority')!r}") from None
+
+    def _client_id(self) -> str | None:
+        return self.headers.get("X-Repro-Client") or None
+
+
+class _HttpFront:
+    """The :class:`ThreadingHTTPServer` lifecycle both fronts share."""
+
+    def __init__(self, handler, host: str, port: int, thread_name: str):
         self._closed = False
-        handler = _make_handler(self)
+        self._thread_name = thread_name
         self._httpd = ThreadingHTTPServer((host, port), handler)
         self._httpd.daemon_threads = True
         self._thread: threading.Thread | None = None
 
-    # ---------------------------------------------------------------- control
     @property
     def address(self) -> str:
         host, port = self._httpd.server_address[:2]
         return f"http://{host}:{port}"
 
-    def start(self) -> "AnalysisServer":
+    def start(self):
         """Serve on a background thread; returns self (for tests/embedding)."""
         self._thread = threading.Thread(target=self._httpd.serve_forever,
-                                        name="repro-serve", daemon=True)
+                                        name=self._thread_name, daemon=True)
         self._thread.start()
         return self
 
@@ -146,6 +302,26 @@ class AnalysisServer:
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)
+
+
+class AnalysisServer(_HttpFront):
+    """Serve one :class:`ResilienceService` over HTTP (see module doc).
+
+    Parameters
+    ----------
+    service:
+        The service to expose; its backend decides execution parallelism.
+    host / port:
+        Bind address; ``port=0`` picks a free port (see :attr:`address`).
+    """
+
+    def __init__(self, service: ResilienceService, *,
+                 host: str = "127.0.0.1", port: int = 0):
+        self.service = service
+        self._jobs: dict[str, AnalysisHandle] = {}
+        self._jobs_lock = threading.Lock()
+        self._draining = False
+        super().__init__(_make_handler(self), host, port, "repro-serve")
 
     # ------------------------------------------------------- graceful drain
     @property
@@ -261,73 +437,25 @@ class AnalysisServer:
 
 
 def _make_handler(server: AnalysisServer):
-    class Handler(BaseHTTPRequestHandler):
-        # Chunked transfer (the /v1/events stream) is an HTTP/1.1
-        # construct — a 1.0 response advertising it mis-frames for
-        # conformant clients.  Plain replies always carry
-        # Content-Length, so 1.1 keep-alive framing is satisfied too.
-        protocol_version = "HTTP/1.1"
-
-        # Silence per-request stderr logging (the CLI prints the address).
-        def log_message(self, *args) -> None:  # noqa: D102
-            pass
-
-        def _reply(self, code: int, payload: dict | str,
-                   headers: dict | None = None) -> None:
-            body = (payload if isinstance(payload, str)
-                    else json.dumps(payload, sort_keys=True))
-            data = body.encode()
-            self.send_response(code)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(data)))
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(data)
-
-        def _error(self, code: int, message: str) -> None:
-            self._reply(code, {"error": message})
-
-        # ------------------------------------------------------------- routes
-        def do_GET(self) -> None:  # noqa: N802 — http.server API
-            try:
-                path, _, query = self.path.partition("?")
-                if path == "/v1/health":
-                    self._reply(200, server.health_payload())
-                elif path == "/v1/inspect":
-                    self._reply(200, server.inspect_payload())
-                elif path.startswith("/v1/status/"):
-                    self._job_route(path[len("/v1/status/"):], query,
-                                    want_result=False)
-                elif path.startswith("/v1/result/"):
-                    self._job_route(path[len("/v1/result/"):], query,
-                                    want_result=True)
-                elif path.startswith("/v1/partial/"):
-                    self._partial_route(path[len("/v1/partial/"):])
-                elif path.startswith("/v1/events/"):
-                    self._events_route(path[len("/v1/events/"):], query)
-                else:
-                    self._error(404, f"unknown endpoint {path!r}")
-            except Exception as exc:  # noqa: BLE001 — must answer the socket
-                self._error(500, str(exc))
-
-        @staticmethod
-        def _wait_budget(query: str) -> float:
-            """Seconds the ``wait=`` query grants, capped per slice."""
-            try:
-                values = urllib.parse.parse_qs(query).get("wait")
-                wait = float(values[-1]) if values else 0.0
-            except ValueError:
-                wait = 0.0
-            return max(0.0, min(wait, WAIT_SLICE_SECONDS))
-
-        def _job_route(self, job: str, query: str, *,
-                       want_result: bool) -> None:
+    class Handler(_ApiHandler):
+        def _handle(self, job: str) -> AnalysisHandle:
             handle = server.handle_for(job)
             if handle is None:
-                self._error(404, f"unknown job {job!r}")
-                return
-            wait = self._wait_budget(query) if want_result else 0.0
+                raise KeyError(job)
+            return handle
+
+        def route_health(self) -> None:
+            self._reply(200, server.health_payload())
+
+        def route_inspect(self) -> None:
+            self._reply(200, server.inspect_payload())
+
+        def route_status(self, job: str) -> None:
+            self._reply(200, server.status_payload(self._handle(job)))
+
+        def route_result(self, job: str) -> None:
+            handle = self._handle(job)
+            wait = self._wait()
             if wait > 0 and not handle.done():
                 try:
                     handle.result(timeout=wait)
@@ -336,9 +464,8 @@ def _make_handler(server: AnalysisServer):
                 # lint: allow(exc-swallowed): the failure is already recorded on the handle and reported below as status=error
                 except Exception:  # noqa: BLE001 — surfaced as status=error
                     pass
-            if not want_result or not handle.done():
-                code = 200 if not want_result else 202
-                self._reply(code, server.status_payload(handle))
+            if not handle.done():
+                self._reply(202, server.status_payload(handle))
                 return
             status = handle.status()
             if status == "cancelled":
@@ -357,107 +484,61 @@ def _make_handler(server: AnalysisServer):
                         headers={"X-Repro-From-Cache":
                                  "1" if result.from_cache else "0"})
 
-        def _partial_route(self, job: str) -> None:
-            handle = server.handle_for(job)
-            if handle is None:
-                self._error(404, f"unknown job {job!r}")
-                return
-            self._reply(200, handle.partial().to_json())
+        def route_partial(self, job: str) -> None:
+            self._reply(200, self._handle(job).partial().to_json())
 
-        def _events_route(self, job: str, query: str) -> None:
+        def route_events(self, job: str) -> None:
             """Chunked ndjson event stream (see module docstring)."""
-            handle = server.handle_for(job)
-            if handle is None:
-                self._error(404, f"unknown job {job!r}")
+            handle = self._handle(job)
+            after = self._after()
+            self._stream(self._event_lines(handle, after))
+
+        def _event_lines(self, handle: AnalysisHandle, after: int):
+            yielded = 0
+            for event in handle.events(after=after,
+                                       timeout=WAIT_SLICE_SECONDS,
+                                       embed_partial=self._embed_partial()):
+                yielded += 1
+                yield event.to_json() + "\n"
+            if yielded == 0 and after > 0 and handle.done():
+                # A consumer resuming (after=N) against a job resurrected
+                # from the store would spin forever: the rebuilt log is a
+                # single terminal event whose seq is below what the
+                # client already saw, so the normal replay yields
+                # nothing.  Re-send just the terminal event — shard_done
+                # history was already delivered in the previous server
+                # life, so nothing duplicates — and the client's stream
+                # closes.
+                for event in handle.events(after=0, timeout=0.5):
+                    if event.terminal and event.seq <= after:
+                        yield event.to_json() + "\n"
+
+        def route_cancel(self, job: str) -> None:
+            self._reply(200, server.cancel_payload(self._handle(job)))
+
+        def route_submit(self) -> None:
+            body = self._read_body()
+            try:
+                response = server.submit_payload(
+                    json.loads(body or b"{}"), priority=self._priority(),
+                    client_id=self._client_id())
+            except ServerDraining as exc:
+                # Graceful shutdown: refuse new work but tell the client
+                # this is temporary unavailability.
+                self._reply(503, {"error": str(exc)},
+                            headers={"Retry-After": "5"})
                 return
-            params = urllib.parse.parse_qs(query)
-            try:
-                values = params.get("after")
-                after = int(values[-1]) if values else 0
-            except ValueError:
-                after = 0
-            # ?embed_partial=0 slims shard_done payloads to pointers —
-            # wide requests otherwise amplify O(shards×curves) bytes
-            # through every proxy hop.
-            embed = (params.get("embed_partial", ["1"])[-1]
-                     not in ("0", "false"))
-            self.send_response(200)
-            self.send_header("Content-Type", "application/x-ndjson")
-            self.send_header("Transfer-Encoding", "chunked")
-            self.end_headers()
-            try:
-                yielded = 0
-                for event in handle.events(after=after,
-                                           timeout=WAIT_SLICE_SECONDS,
-                                           embed_partial=embed):
-                    yielded += 1
-                    self._write_chunk(event.to_json() + "\n")
-                if yielded == 0 and after > 0 and handle.done():
-                    # A consumer resuming (after=N) against a job
-                    # resurrected from the store would spin forever:
-                    # the rebuilt log is a single terminal event whose
-                    # seq is below what the client already saw, so the
-                    # normal replay yields nothing.  Re-send just the
-                    # terminal event — shard_done history was already
-                    # delivered in the previous server life, so nothing
-                    # duplicates — and the client's stream closes.
-                    for event in handle.events(after=0, timeout=0.5):
-                        if event.terminal and event.seq <= after:
-                            self._write_chunk(event.to_json() + "\n")
-                self.wfile.write(b"0\r\n\r\n")
-            except (BrokenPipeError, ConnectionResetError):
-                # The client hung up mid-stream (e.g. right after the
-                # terminal event) — nothing left to answer.
-                self.close_connection = True
-
-        def _write_chunk(self, text: str) -> None:
-            data = text.encode()
-            self.wfile.write(f"{len(data):x}\r\n".encode())
-            self.wfile.write(data)
-            self.wfile.write(b"\r\n")
-
-        def do_POST(self) -> None:  # noqa: N802 — http.server API
-            try:
-                path, _, query = self.path.partition("?")
-                if path.startswith("/v1/cancel/"):
-                    handle = server.handle_for(path[len("/v1/cancel/"):])
-                    if handle is None:
-                        self._error(404, "unknown job")
-                        return
-                    self._reply(200, server.cancel_payload(handle))
-                    return
-                if path != "/v1/submit":
-                    self._error(404, f"unknown endpoint {self.path!r}")
-                    return
-                length = int(self.headers.get("Content-Length", 0))
-                try:
-                    values = urllib.parse.parse_qs(query).get("priority")
-                    priority = int(values[-1]) if values else 0
-                    client = self.headers.get("X-Repro-Client") or None
-                    payload = json.loads(self.rfile.read(length) or b"{}")
-                    response = server.submit_payload(payload,
-                                                     priority=priority,
-                                                     client_id=client)
-                except ServerDraining as exc:
-                    # Graceful shutdown: refuse new work but tell the
-                    # client this is temporary unavailability.
-                    self._reply(503, {"error": str(exc)},
-                                headers={"Retry-After": "5"})
-                    return
-                except QueueFull as exc:
-                    # Explicit backpressure: tell the client when to
-                    # come back instead of queuing unboundedly.
-                    self._reply(429, {"error": str(exc),
-                                      "retry_after": exc.retry_after},
-                                headers={"Retry-After":
-                                         f"{max(1, int(exc.retry_after))}"})
-                    return
-                except (ValueError, KeyError, TypeError) as exc:
-                    self._error(400, str(exc))
-                    return
-                self._reply(200, response)
-            except Exception as exc:  # noqa: BLE001 — must answer the socket
-                self._error(500, str(exc))
+            except QueueFull as exc:
+                # Explicit backpressure: tell the client when to come
+                # back instead of queuing unboundedly.
+                self._reply(429, {"error": str(exc),
+                                  "retry_after": exc.retry_after},
+                            headers={"Retry-After":
+                                     f"{max(1, int(exc.retry_after))}"})
+                return
+            except (ValueError, KeyError, TypeError) as exc:
+                raise _BadRequest(str(exc)) from None
+            self._reply(200, response)
 
     return Handler
 

@@ -619,12 +619,10 @@ class ResilienceService:
     def _engine_for(self, resolved: ResolvedModel, dataset_crc: int,
                     request: AnalysisRequest, dataset: Dataset) -> SweepEngine:
         options = request.options
-        # client_id never changes what an engine computes — keying it
-        # would give every tenant a duplicate engine (and a cold
-        # prefix-activation cache) for identical work.
-        if options.client_id is not None:
-            options = dataclasses.replace(options, client_id=None)
-        key = (resolved.ref.key, dataset_crc, request.eval_samples, options)
+        # Keyed on exactly what make_engine reads: requests differing only
+        # in retries, deadlines or tenant share one warm engine.
+        key = (resolved.ref.key, dataset_crc, request.eval_samples,
+               options.batch_size, options.strategy, options.shared_votes)
         with self._state_lock:
             engine = self._engines.get(key)
             if engine is None or engine.model is not resolved.model:

@@ -37,11 +37,11 @@ __all__ = ["ReDCaNeConfig", "ApproximateCapsNetDesign", "ReDCaNe"]
 class ReDCaNeConfig:
     """Tuning knobs of the methodology run.
 
-    Sweep execution (batch size, strategy, workers, shared-votes fast
-    path) lives in one shared :class:`~repro.core.sweep.ExecutionOptions`
-    — the same dataclass the experiments' ``ExperimentScale`` and the
-    CLI use; the flat ``batch_size``/``strategy``/``workers``/
-    ``shared_votes`` properties read through to it.
+    Sweep execution (batch size, strategy, shared-votes fast path) lives
+    in one shared :class:`~repro.core.sweep.ExecutionOptions` — the same
+    dataclass the experiments' ``ExperimentScale`` and the CLI use; the
+    flat ``batch_size``/``strategy``/``shared_votes`` properties read
+    through to it.
     """
 
     nm_values: tuple[float, ...] = PAPER_NM_SWEEP
@@ -61,10 +61,6 @@ class ReDCaNeConfig:
     @property
     def strategy(self) -> str:
         return self.execution.strategy
-
-    @property
-    def workers(self) -> int:
-        return self.execution.workers
 
     @property
     def shared_votes(self) -> bool:

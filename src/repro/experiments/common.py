@@ -52,10 +52,10 @@ class ExperimentScale:
     """Evaluation-scale knobs shared by the accuracy-in-the-loop artifacts.
 
     ``execution`` carries the sweep execution knobs (batch size,
-    strategy, workers, shared-votes fast path) — the single
+    strategy, shared-votes fast path) — the single
     :class:`~repro.core.sweep.ExecutionOptions` every consumer shares.
-    The flat ``batch_size``/``strategy``/``workers``/``shared_votes``
-    properties read through to it for convenience.
+    The flat ``batch_size``/``strategy``/``shared_votes`` properties
+    read through to it for convenience.
     """
 
     eval_samples: int = 256
@@ -72,10 +72,6 @@ class ExperimentScale:
         return self.execution.strategy
 
     @property
-    def workers(self) -> int:
-        return self.execution.workers
-
-    @property
     def shared_votes(self) -> bool:
         return self.execution.shared_votes
 
@@ -86,7 +82,7 @@ class ExperimentScale:
         Subsamples the NM grid (every third value, keeping the final —
         clean — point), caps the eval set at 96 samples and evaluates it
         as a single batch; every other knob (custom grids, strategy,
-        workers) carries over via :func:`dataclasses.replace`.  Callable
+        shared votes) carries over via :func:`dataclasses.replace`.  Callable
         on the class (``ExperimentScale.quick()``) for the default quick
         scale.
         """

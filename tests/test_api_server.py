@@ -9,13 +9,17 @@ byte-identical to the in-process path.
 from __future__ import annotations
 
 import json
+import socket
+import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
 
-from repro.api import (AnalysisRequest, AnalysisServer, ModelRef,
-                       RemoteError, RemoteHandle, RemoteService,
+from repro.api import (SCHEMA_VERSION, AnalysisRequest, AnalysisServer,
+                       ModelRef, RemoteError, RemoteHandle, RemoteService,
                        ResilienceService)
+from repro.api.cluster import ClusterCoordinator, CoordinatorServer
 from repro.experiments import fig9
 from repro.experiments.common import ExperimentScale
 
@@ -43,12 +47,8 @@ def _quick_request() -> AnalysisRequest:
 class TestEndpoints:
     def test_health_reports_schema_and_backend(self, remote):
         health = remote.health()
-        assert health["ok"] and health["schema"] == 1
+        assert health["ok"] and health["schema"] == SCHEMA_VERSION
         assert health["backend"] == "inline"
-
-    def test_unknown_job_is_404(self, remote):
-        with pytest.raises(RemoteError, match="404"):
-            remote._get_json("/v1/status/deadbeef")
 
     def test_unknown_endpoint_is_404(self, remote):
         with pytest.raises(RemoteError, match="404"):
@@ -78,6 +78,93 @@ class TestEndpoints:
     def test_entry_errors_loudly(self, remote):
         with pytest.raises(RemoteError, match="in-process"):
             remote.entry(ModelRef(benchmark="DeepCaps/CIFAR-10"))
+
+
+def _v1_payload_with_workers() -> bytes:
+    """A schema-1 submission as the parent wire carried it."""
+    payload = _quick_request().to_payload()
+    payload["schema"] = 1
+    payload["options"]["workers"] = 8
+    return json.dumps(payload).encode()
+
+
+@pytest.fixture(scope="module")
+def fronts(tmp_path_factory):
+    """One node and a coordinator in front of it, by front name."""
+    service = ResilienceService(
+        cache_dir=str(tmp_path_factory.mktemp("parity")))
+    node = AnalysisServer(service).start()
+    coordinator = CoordinatorServer(
+        ClusterCoordinator([node.address], probe_timeout=2.0)).start()
+    yield {"node": node.address, "coordinator": coordinator.address}
+    coordinator.shutdown()
+    node.shutdown()
+    service.close()
+
+
+def _call(url: str, method: str, path: str, body: bytes | None):
+    request = urllib.request.Request(url + path, data=body, method=method)
+    try:
+        with urllib.request.urlopen(request, timeout=10) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as exc:
+        with exc:
+            return exc.code, json.loads(exc.read())
+
+
+class TestEndpointParity:
+    """Node and coordinator serve one route table through one handler
+    base: every malformed or unknown call answers the same status and
+    the same body on both fronts."""
+
+    @pytest.mark.parametrize("method, path, body, code, message", [
+        ("GET", "/v1/nope", None, 404, "unknown endpoint"),
+        ("POST", "/v1/nope", b"{}", 404, "unknown endpoint"),
+        ("GET", "/v1/submit", None, 404, "unknown endpoint"),
+        ("GET", "/v1/status/no-such-job", None, 404, "unknown job"),
+        ("GET", "/v1/result/no-such-job", None, 404, "unknown job"),
+        ("GET", "/v1/partial/no-such-job", None, 404, "unknown job"),
+        ("GET", "/v1/events/no-such-job", None, 404, "unknown job"),
+        ("POST", "/v1/cancel/no-such-job", b"", 404, "unknown job"),
+        ("POST", "/v1/submit", b"{not json", 400, "property name"),
+        ("POST", "/v1/submit?priority=high", b"{}", 400, "priority"),
+        ("POST", "/v1/submit", json.dumps({"schema": 99}).encode(), 400,
+         "unsupported request schema 99"),
+        ("POST", "/v1/submit", _v1_payload_with_workers(), 400,
+         "unsupported request schema 1"),
+    ], ids=["unknown-endpoint", "unknown-post-endpoint", "get-submit",
+            "status-unknown-job", "result-unknown-job",
+            "partial-unknown-job", "events-unknown-job",
+            "cancel-unknown-job", "malformed-body", "malformed-priority",
+            "foreign-schema", "schema-v1-workers"])
+    def test_both_fronts_answer_alike(self, fronts, method, path, body,
+                                      code, message):
+        answers = {name: _call(url, method, path, body)
+                   for name, url in fronts.items()}
+        assert answers["node"] == answers["coordinator"]
+        status, payload = answers["node"]
+        assert status == code
+        assert message in payload["error"]
+
+    @pytest.mark.parametrize("front", ["node", "coordinator"])
+    @pytest.mark.parametrize("length", ["-1", "abc", None],
+                             ids=["negative", "non-integer", "missing"])
+    def test_bad_content_length_is_400(self, fronts, front, length):
+        """A body of unknown extent is refused at once (a negative
+        length used to block the handler in ``rfile.read(-1)``) and the
+        connection closes, since its framing cannot be trusted."""
+        url = urllib.parse.urlsplit(fronts[front])
+        head = "POST /v1/submit HTTP/1.1\r\nHost: test\r\n"
+        if length is not None:
+            head += f"Content-Length: {length}\r\n"
+        reply = b""
+        with socket.create_connection((url.hostname, url.port),
+                                      timeout=5) as sock:
+            sock.sendall((head + "\r\n").encode())
+            while chunk := sock.recv(65536):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"Content-Length must be a non-negative integer" in reply
 
 
 class TestRoundTrip:

@@ -50,7 +50,7 @@ def _direct_fig9(benchmark: str, scale: ExperimentScale,
         entry.model, test_set, groups=list(INJECTABLE_GROUPS),
         nm_values=scale.nm_values, na=0.0, seed=seed,
         batch_size=scale.batch_size, strategy=scale.strategy,
-        workers=scale.workers, shared_votes=scale.shared_votes)
+        shared_votes=scale.shared_votes)
     baseline = next(iter(curves.values())).baseline_accuracy
     return fig9.Fig9Result(benchmark, baseline, curves)
 
@@ -65,7 +65,7 @@ def _direct_fig10(benchmark: str, scale: ExperimentScale,
         entry.model, test_set, groups=list(fig10.NON_RESILIENT_GROUPS),
         layers=layers, nm_values=scale.nm_values, na=0.0, seed=seed,
         batch_size=scale.batch_size, strategy=scale.strategy,
-        workers=scale.workers, shared_votes=scale.shared_votes)
+        shared_votes=scale.shared_votes)
     baseline = next(iter(curves.values())).baseline_accuracy
     return fig10.Fig10Result(benchmark, baseline, curves, layers)
 
@@ -250,6 +250,23 @@ class TestConcurrencyAndBatching:
         for result in results:
             for key, curve in result.curves.items():
                 assert curve.points == union.curves[key].points
+
+    def test_engine_shared_across_result_invariant_options(
+            self, trained_capsnet, mnist_splits, session_request):
+        """Engines key on what ``make_engine`` reads: requests differing
+        only in retries, deadline or tenant reuse one warm engine."""
+        service = ResilienceService(use_store=False)
+        service.register("svc-test", trained_capsnet, mnist_splits[1])
+        try:
+            service.run(session_request)
+            service.run(dataclasses.replace(
+                session_request, options=dataclasses.replace(
+                    session_request.options, max_retries=0,
+                    shard_timeout=30.0, client_id="tenant-b")))
+            assert service.stats.executed == 2
+            assert len(service._engines) == 1
+        finally:
+            service.close()
 
     def test_batched_results_are_individually_cached(self, service,
                                                      session_request):

@@ -102,16 +102,15 @@ class TestCacheSemantics:
         assert service.run(request_) is not None  # clean scope works
 
     def test_result_invariant_knobs_share_one_entry(self, service, request_):
-        """naive↔cached are bit-identical streams and workers never change
-        results, so they must map to the same store key (and the entry
-        written by one must serve the other)."""
+        """naive↔cached are bit-identical streams, so they must map to
+        the same store key (and the entry written by one must serve the
+        other)."""
         naive = dataclasses.replace(
             request_,
             options=dataclasses.replace(request_.options, strategy="naive"))
         cached = dataclasses.replace(
             request_,
-            options=dataclasses.replace(request_.options, strategy="cached",
-                                        workers=2))
+            options=dataclasses.replace(request_.options, strategy="cached"))
         cold = service.run(naive)
         warm = service.run(cached)
         assert warm.from_cache
@@ -282,6 +281,24 @@ class TestGc:
         report = populated.gc()
         assert report.by_reason == {"stale": 1}
         assert report.kept == 1
+
+    def test_schema_v1_entries_are_misses_and_collected(self, populated,
+                                                       capsys):
+        """Entries written before ``options.workers`` left the wire
+        (schema 1) never load and ``repro gc`` reclaims them."""
+        from repro.cli import main
+        key = populated.keys()[0]
+        path = populated.path_for(key)
+        with open(path) as stream:
+            payload = json.load(stream)
+        payload["schema"] = payload["request"]["schema"] = 1
+        payload["request"]["options"]["workers"] = 0
+        with open(path, "w") as stream:
+            json.dump(payload, stream)
+        assert populated.get(key) is None
+        assert main(["gc", "--cache-dir", populated.root]) == 0
+        assert "1 stale" in capsys.readouterr().out
+        assert key not in populated.keys()
 
     def test_non_dict_json_documents_are_collected(self, populated):
         """Review regression: a document that parses as JSON but is not a

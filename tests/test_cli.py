@@ -55,10 +55,10 @@ class TestSweepFlagRouting:
 
     def test_workers_rejected_for_fig6(self, capsys):
         """fig6 accepts a scale-like knob (--quick) but runs no sweeps;
-        its old lambda swallowed --workers via ``*_``."""
-        assert main(["run", "fig6", "--workers", "2"]) == 2
+        its old lambda swallowed sweep flags via ``*_``."""
+        assert main(["run", "fig6", "--strategy", "naive"]) == 2
         err = capsys.readouterr().err
-        assert "fig6" in err and "--workers" in err
+        assert "fig6" in err and "--strategy" in err
 
     def test_shared_votes_rejected_for_table4(self, capsys):
         assert main(["run", "table4", "--no-shared-votes"]) == 2
@@ -97,6 +97,13 @@ class TestBackendFlagRouting:
     def test_unknown_backend_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             main(["run", "fig9", "--backend", "gpu"])
+
+    def test_workers_flag_removed(self, capsys):
+        """The engine-level fan-out is gone: ``--backend procpool
+        --max-parallel N`` is the one way to run shards in parallel."""
+        with pytest.raises(SystemExit):
+            main(["run", "fig9", "--workers", "2"])
+        assert "--workers" in capsys.readouterr().err
 
     def test_remote_conflicts_with_local_service_flags(self, capsys):
         assert main(["run", "fig9", "--remote", "http://localhost:1",

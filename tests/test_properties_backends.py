@@ -90,6 +90,11 @@ def cases(draw):
                "corrupt"))
 @example(case=(_request(TARGETS[4:], NM_VALUES[:2], 6), None, "procpool",
                None))
+# Pinned: group-wise and layer-wise targets together, one target per
+# shard across both procpool workers, with nothing injected.
+@example(case=(_request((("mac_outputs", None), ("softmax", None),
+                          ("mac_outputs", "Conv1")), NM_VALUES, 3),
+               None, "procpool", None))
 @settings(max_examples=12, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture,
                                  HealthCheck.too_slow])
