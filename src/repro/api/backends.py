@@ -22,7 +22,8 @@ In-process backends:
     and autograd mode are thread-local, so worker threads cannot
     contaminate each other.  Results are bit-identical to ``inline``
     because every noise stream is derived statelessly per
-    (seed, site, batch).
+    (seed, site, batch).  The threads share the process's one BLAS
+    pool; only ``procpool`` divides the cores among its workers.
 
 Out-of-process backends share **one framed worker transport**: one JSON
 document per line — a request (or a ``{"request": .., "chaos": ..}``
@@ -40,7 +41,9 @@ a channel:
     child's stdin/stdout pipes.  Each worker keeps a store-less service
     alive between shards, so the ~1s interpreter start-up, the zoo
     weight load *and* the engine's prefix-activation cache are paid once
-    per worker instead of once per shard.
+    per worker instead of once per shard.  Each worker's BLAS pool is
+    sized to its share of the usable CPUs, so the shards are the only
+    layer of parallelism.
 ``remote-pool``
     :class:`~repro.api.cluster.RemotePoolBackend` — a channel over a TCP
     socket to a ``repro worker`` agent (see :mod:`repro.api.cluster`).
@@ -104,9 +107,25 @@ logger = logging.getLogger("repro.api.backends")
 BACKEND_NAMES: tuple[str, ...] = ("inline", "threads", "procpool",
                                   "remote-pool")
 
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one (a ``taskset`` or cpuset limit), else the host count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 #: Default shard concurrency for the parallel backends when the caller
 #: does not pass ``max_parallel`` (bounded: sweeps are memory-hungry).
-DEFAULT_MAX_PARALLEL = max(2, min(4, os.cpu_count() or 1))
+DEFAULT_MAX_PARALLEL = max(2, min(4, usable_cpus()))
+
+#: The thread-pool sizes of the BLAS/OpenMP runtimes numpy may link.
+#: Procpool workers are spawned with all of them set to their share of
+#: the cores (:func:`_blas_width`) unless the parent presets any of them.
+BLAS_THREAD_VARS: tuple[str, ...] = (
+    "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 #: Seconds between heartbeat frames a worker emits while a
 #: measurement is in flight (well under any sane supervision grace).
@@ -234,7 +253,7 @@ class FramedChannel:
     teardown :meth:`close` runs after closing both streams (default:
     ``sever``), ``tail`` returns extra detail for a loss report (a
     worker log tail), and ``peer`` names the far end for the pool's
-    bookkeeping (a TCP channel's agent address).
+    bookkeeping (a TCP channel's agent address, a pipe worker's pid).
 
     The worker heartbeats while a measurement is in flight (``{"hb": t}``
     frames before the result envelope); :meth:`measure` skips them,
@@ -645,7 +664,17 @@ class ProcPoolBackend(PooledBackend):
     quiet: workers idle longer than ``idle_ttl`` seconds are reaped,
     releasing their memory-hungry model weights.  A worker's stderr
     goes to a temp log whose tail rides every loss report.
-    :meth:`pool_snapshot` adds cumulative ``spawned``/``reaped`` counts.
+    :meth:`pool_snapshot` adds cumulative ``spawned``/``reaped`` counts
+    and ``blas_threads``.
+
+    The shards are the one layer of parallelism: each worker's BLAS
+    pool gets ``blas_threads`` = usable CPUs // ``max_parallel`` (at
+    least 1) threads, so a full pool never runs more BLAS threads than
+    there are cores (OpenBLAS threads busy-wait: two 2-thread sweeps
+    sharing 2 CPUs each ran ~3x slower than one alone).
+    ``blas_threads`` is ``None``
+    when the parent's environment presets any of
+    :data:`BLAS_THREAD_VARS`: the workers then inherit those values.
     """
 
     name = "procpool"
@@ -662,10 +691,12 @@ class ProcPoolBackend(PooledBackend):
                          heartbeat_grace=heartbeat_grace,
                          poll_interval=poll_interval)
         self.idle_ttl = idle_ttl
+        self.blas_threads = _blas_width(self.parallel, usable_cpus())
 
     def _pool_extras(self) -> dict:
         return {"spawned": self._opened, "reaped": self._reaped,
-                "idle_ttl": self.idle_ttl}
+                "idle_ttl": self.idle_ttl,
+                "blas_threads": self.blas_threads}
 
     def _open(self) -> FramedChannel:
         handle, log_path = tempfile.mkstemp(prefix="repro-poolworker-",
@@ -674,7 +705,7 @@ class ProcPoolBackend(PooledBackend):
         process = subprocess.Popen(
             [sys.executable, "-m", "repro.api.backends", "--pool-worker"],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=log,
-            text=True, env=_worker_env())
+            text=True, env=_worker_env(self.blas_threads))
 
         def tail() -> str:
             status = process.poll()
@@ -701,15 +732,26 @@ class ProcPoolBackend(PooledBackend):
 
         return FramedChannel(process.stdout, process.stdin, process.kill,
                              describe=f"{self.noun} {process.pid}",
-                             release=release, tail=tail)
+                             release=release, tail=tail, peer=process.pid)
 
 
-def _worker_env() -> dict:
+def _blas_width(parallel: int, cpus: int) -> int | None:
+    """BLAS threads per worker when ``parallel`` workers share ``cpus``
+    cores, or ``None`` when the parent's environment already sizes the
+    BLAS pool (any of :data:`BLAS_THREAD_VARS` set): the operator wins."""
+    if any(name in os.environ for name in BLAS_THREAD_VARS):
+        return None
+    return max(1, cpus // parallel)
+
+
+def _worker_env(blas_threads: int | None = None) -> dict:
     """The worker's environment: inherit, but guarantee ``repro`` imports.
 
     The parent may run from a source checkout that is only importable via
     ``PYTHONPATH=src``; prepend the package root we were imported from so
-    the child resolves the same code.
+    the child resolves the same code.  ``blas_threads`` (when given) sets
+    every :data:`BLAS_THREAD_VARS` entry, sizing the worker's BLAS pool
+    before numpy loads it.
     """
     env = dict(os.environ)
     package_root = os.path.dirname(os.path.dirname(os.path.dirname(
@@ -717,6 +759,8 @@ def _worker_env() -> dict:
     previous = env.get("PYTHONPATH")
     env["PYTHONPATH"] = (package_root if not previous
                          else os.pathsep.join([package_root, previous]))
+    if blas_threads is not None:
+        env.update(dict.fromkeys(BLAS_THREAD_VARS, str(blas_threads)))
     return env
 
 

@@ -131,6 +131,11 @@ class WorkerAgent:
     agent uses ``os._exit`` (the whole process is the worker), while
     in-process test agents instead sever every connection and stop
     accepting — indistinguishable from process death on the wire.
+
+    The agent's connections share its one process-wide BLAS pool, which
+    is sized when the agent starts: unlike a procpool worker, nothing
+    divides the cores among its connections or among several agents on
+    one host (set ``OPENBLAS_NUM_THREADS`` when starting each agent).
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,

@@ -15,6 +15,9 @@ Four kinds of armor:
 * **Import hygiene** — the service, the CLI and the procpool worker's
   ``-m`` entry boot without ``scipy.stats`` / ``scipy.ndimage``, which
   cost about a second per interpreter and no sweep or service path calls.
+* **One parallelism layer** — procpool workers are spawned with a BLAS
+  pool of usable CPUs // ``max_parallel`` threads (at least 1), unless
+  the parent's environment already sizes it.
 """
 
 from __future__ import annotations
@@ -29,8 +32,11 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.api import (AnalysisRequest, ExecutionOptions, InlineBackend,
-                       ModelRef, ResilienceService, ShardMismatch,
-                       make_backend, merge_shards, plan_shards)
+                       ModelRef, ProcPoolBackend, ResilienceService,
+                       ShardMismatch, make_backend, merge_shards,
+                       plan_shards)
+from repro.api.backends import (BLAS_THREAD_VARS, _blas_width, _worker_env,
+                                usable_cpus)
 from repro.core import ResilienceCurve, ResiliencePoint
 from repro.core.sweep import SweepEngine, SweepTarget
 
@@ -114,6 +120,71 @@ class TestMakeBackend:
     def test_service_ctor_routes_through_validation(self, service):
         with pytest.raises(ValueError, match="inline backend"):
             service(backend="inline", max_parallel=8)
+
+
+class TestBlasWidth:
+    @pytest.fixture(autouse=True)
+    def unset_blas_vars(self, monkeypatch):
+        for name in BLAS_THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+
+    def test_two_workers_on_two_cpus_get_one_thread_each(self):
+        assert _blas_width(2, 2) == 1
+
+    def test_lone_worker_gets_every_cpu(self):
+        assert _blas_width(1, 2) == 2
+
+    def test_floor_of_one_when_workers_outnumber_cpus(self):
+        assert _blas_width(4, 2) == 1
+        assert _blas_width(3, 1) == 1
+
+    @pytest.mark.parametrize("preset", BLAS_THREAD_VARS)
+    def test_any_preset_variable_leaves_all_inherited(self, monkeypatch,
+                                                      preset):
+        monkeypatch.setenv(preset, "3")
+        assert _blas_width(2, 2) is None
+        env = _worker_env(_blas_width(2, 2))
+        assert env[preset] == "3"
+        assert not any(name in env for name in BLAS_THREAD_VARS
+                       if name != preset)
+        backend = ProcPoolBackend(2)
+        try:
+            assert backend.pool_snapshot()["blas_threads"] is None
+        finally:
+            backend.close()
+
+    def test_width_is_written_to_every_variable(self):
+        env = _worker_env(1)
+        assert all(env[name] == "1" for name in BLAS_THREAD_VARS)
+
+    def test_env_without_width_only_adds_pythonpath(self):
+        """The ``repro worker`` agents spawned by the cluster tests keep
+        the parent's environment plus ``PYTHONPATH``."""
+        env = _worker_env()
+        assert env.keys() - {"PYTHONPATH"} == os.environ.keys() - {
+            "PYTHONPATH"}
+        assert all(env[key] == value for key, value in os.environ.items()
+                   if key != "PYTHONPATH")
+        assert env["PYTHONPATH"].split(os.pathsep)[0] == SRC_ROOT
+
+    def test_procpool_workers_spawn_with_the_width(self, service):
+        svc = service(use_store=False, backend="procpool", max_parallel=2)
+        width = max(1, usable_cpus() // 2)
+        assert svc.queue_snapshot()["pool"]["blas_threads"] == width
+        svc.run(AnalysisRequest(
+            model=ModelRef(benchmark="CapsNet/MNIST"),
+            targets=(("softmax", None),), nm_values=(0.5, 0.0),
+            eval_samples=32, options=ExecutionOptions(batch_size=32)))
+        (worker, _), = svc.backend._idle
+        environ = f"/proc/{worker.peer}/environ"
+        if not os.path.exists(environ):
+            pytest.skip("no /proc on this platform")
+        with open(environ, "rb") as stream:
+            variables = dict(entry.split(b"=", 1)
+                             for entry in stream.read().split(b"\0")
+                             if b"=" in entry)
+        assert all(variables[name.encode()] == str(width).encode()
+                   for name in BLAS_THREAD_VARS)
 
 
 class TestScheduler:
